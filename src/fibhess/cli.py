@@ -6,8 +6,11 @@ Subcommands: ``gen`` (one polynomial by a chosen route), ``family``
 the n-th sequence term; matrix routes build the (n-1) x (n-1) matrix
 internally so every method answers the same question.
 
+The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
+
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage
-error, 3 brute-force oracle budget exceeded.
+error, 3 brute-force oracle budget exceeded.  When stdout is a pipe that
+the reader closes early, the process ends by SIGPIPE, as cat does.
 
 JSON coefficients are decimal strings: they outgrow 64-bit integers
 quickly as n increases.
@@ -17,20 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import Callable
 
-from .evaluators import (
-    BudgetExceeded,
-    EvalBudget,
-    det_hessenberg,
-    det_oracle,
-    per_hessenberg,
-    per_oracle,
-)
+from .evaluators import BudgetExceeded
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, BivarPoly
-from .sequences import FAMILIES, cross_check, f_poly, family_value, get_family
+from .ring import BivarPoly
+from .sequences import ROUTES, cross_check, family_value, get_family
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,17 +40,6 @@ _BUILDERS: dict[str, Callable[[int, int], HessenbergMatrix]] = {
     "h": build_h,
     "k": build_k,
 }
-
-METHODS = (
-    "recurrence",
-    "det-w",
-    "det-m",
-    "per-h",
-    "per-k",
-    "oracle-det-w",
-    "oracle-per-h",
-)
-
 
 class UsageError(Exception):
     pass
@@ -78,32 +64,6 @@ def poly_from_terms_json(terms: list[dict]) -> BivarPoly:
     )
 
 
-def _compute_by_method(p: int, n: int, method: str) -> BivarPoly:
-    if method == "recurrence":
-        return f_poly(p, n)
-    # Matrix routes: the order-(n-1) matrix yields the n-th term; the
-    # empty 0x0 matrix has det = per = 1 and is handled without a
-    # matrix object.
-    if n < 1:
-        raise UsageError(f"method {method!r} requires n >= 1 (term 0 is 0)")
-    order = n - 1
-    if order == 0:
-        return ONE
-    if method == "det-w":
-        return det_hessenberg(build_w(p, order))
-    if method == "det-m":
-        return det_hessenberg(build_m(p, order))
-    if method == "per-h":
-        return per_hessenberg(build_h(p, order))
-    if method == "per-k":
-        return per_hessenberg(build_k(p, order))
-    if method == "oracle-det-w":
-        return det_oracle(build_w(p, order), EvalBudget())
-    if method == "oracle-per-h":
-        return per_oracle(build_h(p, order), EvalBudget())
-    raise UsageError(f"unknown method {method!r}")
-
-
 def _emit_poly(poly: BivarPoly, fmt: str, record: dict[str, object]) -> None:
     if fmt == "json":
         record["poly"] = poly_terms_json(poly)
@@ -113,7 +73,7 @@ def _emit_poly(poly: BivarPoly, fmt: str, record: dict[str, object]) -> None:
 
 
 def _cmd_gen(args) -> int:
-    poly = _compute_by_method(args.p, args.n, args.method)
+    poly = ROUTES[args.method](args.p, args.n)
     _emit_poly(poly, args.format, {"p": args.p, "n": args.n, "method": args.method})
     return EXIT_OK
 
@@ -197,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="compute one sequence term by a chosen route")
     gen.add_argument("--p", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--method", choices=METHODS, default="recurrence")
+    gen.add_argument("--method", choices=ROUTES, default="recurrence")
     gen.add_argument("--format", choices=("text", "json"), default="text")
     gen.set_defaults(func=_cmd_gen)
 
@@ -241,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Restore the default SIGPIPE action (Python ignores it), so that a
+    # reader closing the pipe early (``fibhess check | head``) ends the
+    # process quietly instead of raising BrokenPipeError.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

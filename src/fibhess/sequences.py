@@ -4,58 +4,76 @@ and the five-way cross-check.
 The sequence G(p, n) is defined by G(p, 0) = 0, G(p, n) = x^(n-1) for
 1 <= n <= p + 1, and G(p, n) = x*G(p, n-1) + y*G(p, n-p-1) afterwards.
 Four matrix routes recover G(p, n+1) as det(W), det(M), per(H), per(K) of
-the order-n matrices; cross_check runs all five and compares exactly.
+the order-n matrices.  ``ROUTES`` maps every route name, the two
+brute-force oracles included, to a function of (p, n) that returns
+G(p, n); cross_check runs the five fast routes and compares each with the
+recurrence exactly.
 
 Named specializations substitute fixed polynomials for x and y (and
 optionally shift the index) to recover classical families: Fibonacci,
-Pell, Jacobsthal, and second-kind Chebyshev.
+Pell, Jacobsthal, and second-kind Chebyshev.  Substitution is a ring
+homomorphism, so a family runs the recurrence on the substituted seeds
+instead of substituting into the bivariate G.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
-from .evaluators import det_hessenberg, per_hessenberg
+from .evaluators import EvalBudget, det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from .matrices import build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, ZERO
+from .ring import ONE, X, Y, BivarPoly
 
-ROUTES = ("recurrence", "det-w", "det-m", "per-h", "per-k")
+
+def _check_args(p: int, n: int, n_min: int = 0) -> None:
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if n < n_min:
+        raise ValueError(f"n must be >= {n_min}, got {n}")
+
+
+def _recurrence(p: int, n: int, x, y) -> Iterator:
+    """Yield terms 0..n of the recurrence with ``x`` and ``y`` in place of
+    the two variables, in their ring (``BivarPoly``, or int for
+    fib_p_number), whose 0 and 1 are x - x and x**0.  The arguments are not
+    checked.  Only the last p+1 terms are held, so taking just the n-th
+    keeps memory O(p) terms."""
+    window = deque([x - x], maxlen=p + 1)  # G(k-p-1) .. G(k-1)
+    yield window[0]
+    for k in range(1, n + 1):
+        if k == 1:
+            term = x**0
+        elif k <= p + 1:
+            term = x * window[-1]
+        else:
+            term = x * window[-1] + y * window[0]
+        window.append(term)
+        yield term
+
+
+def _nth(p: int, n: int, x, y):
+    return deque(_recurrence(p, n, x, y), maxlen=1)[0]
 
 
 def f_poly(p: int, n: int) -> BivarPoly:
     """n-th term of the coefficiented recurrence for parameter p."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return f_poly_prefix(p, n)[n]
+    _check_args(p, n)
+    return _nth(p, n, X, Y)
 
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
     """Terms 0..n as a list."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    terms = [ZERO]
-    for k in range(1, n + 1):
-        if k <= p + 1:
-            terms.append(BivarPoly.monomial(1, k - 1, 0))
-        else:
-            terms.append(X * terms[k - 1] + Y * terms[k - p - 1])
-    return terms
+    _check_args(p, n)
+    return list(_recurrence(p, n, X, Y))
 
 
 def fib_p_number(p: int, n: int) -> int:
-    """Integer sequence with p+1 leading ones, a(n) = a(n-1) + a(n-p-1)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    vals = [0] + [1] * min(n, p + 1)
-    for k in range(p + 2, n + 1):
-        vals.append(vals[k - 1] + vals[k - p - 1])
-    return vals[n]
+    """Integer sequence with p+1 leading ones, a(n) = a(n-1) + a(n-p-1):
+    the recurrence at x = y = 1."""
+    _check_args(p, n, n_min=1)
+    return _nth(p, n, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -101,16 +119,14 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
 
     ``p`` is required for p-parameterized families and ignored otherwise.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if spec.p is not None:
         eff_p = spec.p
     elif p is not None:
         eff_p = p
     else:
         raise ValueError(f"family {spec.name!r} needs an explicit p")
-    base = f_poly(eff_p, n + spec.index_offset)
-    return base.substitute(spec.xsub, spec.ysub)
+    _check_args(eff_p, n)
+    return _nth(eff_p, n + spec.index_offset, spec.xsub, spec.ysub)
 
 
 def get_family(name: str) -> FamilySpec:
@@ -132,27 +148,43 @@ class CrossCheckReport:
     first_mismatch: tuple[str, str] | None
 
 
+_Route = Callable[[int, int], BivarPoly]
+
+
+def _on_matrix(evaluate: _Route) -> _Route:
+    """A route to G(p, n) through ``evaluate`` of the order-(n-1) matrices;
+    the empty order-0 matrix has det = per = 1 and needs no matrix object."""
+
+    def route(p: int, n: int) -> BivarPoly:
+        if n < 1:
+            raise ValueError(f"matrix routes need n >= 1 (term 0 is 0), got {n}")
+        _check_args(p, n)
+        return ONE if n == 1 else evaluate(p, n - 1)
+
+    return route
+
+
+# Route name -> fn(p, n) returning G(p, n).  The lambdas look up the
+# builders and evaluators in this module's globals at call time, so that a
+# name rebound here (a patched builder, a traced evaluator) is used.
+ROUTES: dict[str, _Route] = {
+    "recurrence": lambda p, n: f_poly(p, n),
+    "det-w": _on_matrix(lambda p, order: det_hessenberg(build_w(p, order))),
+    "det-m": _on_matrix(lambda p, order: det_hessenberg(build_m(p, order))),
+    "per-h": _on_matrix(lambda p, order: per_hessenberg(build_h(p, order))),
+    "per-k": _on_matrix(lambda p, order: per_hessenberg(build_k(p, order))),
+    "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order), EvalBudget())),
+    "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order), EvalBudget())),
+}
+_FAST_ROUTES = tuple(name for name in ROUTES if not name.startswith("oracle-"))
+
+
 def cross_check(p: int, n: int) -> CrossCheckReport:
-    """Compare the recurrence value G(p, n+1) with all four order-n
-    matrix routes."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    values = {
-        "recurrence": f_poly(p, n + 1),
-        "det-w": det_hessenberg(build_w(p, n)),
-        "det-m": det_hessenberg(build_m(p, n)),
-        "per-h": per_hessenberg(build_h(p, n)),
-        "per-k": per_hessenberg(build_k(p, n)),
-    }
-    first_mismatch = None
-    names = list(values)
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            if values[names[a_idx]] != values[names[b_idx]]:
-                first_mismatch = (names[a_idx], names[b_idx])
-                break
-        if first_mismatch:
-            break
+    """Compare each of the four order-n matrix routes with the recurrence
+    value G(p, n+1); structural equality is transitive, so that decides
+    whether all five agree."""
+    _check_args(p, n, n_min=1)
+    values = {name: ROUTES[name](p, n + 1) for name in _FAST_ROUTES}
+    differing = [name for name, value in values.items() if value != values["recurrence"]]
+    first_mismatch = ("recurrence", differing[0]) if differing else None
     return CrossCheckReport(p, n, values, first_mismatch is None, first_mismatch)

@@ -1,6 +1,10 @@
 """Command-line surface: output formats, exit codes, round-tripping."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,27 @@ def test_check_detects_corrupted_builder(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "--p-max", "1", "--n-max", "3")
     assert code == EXIT_CHECK_FAILED
     assert "det-m" in err
+
+
+def test_check_closed_pipe_ends_quietly():
+    # the output (about 150 kB) outgrows the pipe buffer, so the process is
+    # still writing when the reader goes away
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "fibhess.cli", "check", "--p-max", "3", "--n-max", "30",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["p"] == 1
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err
+    assert code != EXIT_CHECK_FAILED
 
 
 def test_check_usage(capsys):

@@ -1,7 +1,11 @@
 """Sequence recurrence, integer shadow, specializations, cross-check."""
 
+import math
+
 import pytest
 
+import fibhess.sequences as sequences
+from fibhess.matrices import build_w
 from fibhess.ring import ONE, X, Y, BivarPoly, ZERO
 from fibhess.sequences import (
     FAMILIES,
@@ -264,3 +268,69 @@ def test_cross_check_rejects_bad_args():
         cross_check(1, 0)
     with pytest.raises(ValueError):
         cross_check(0, 1)
+
+
+def test_cross_check_names_corrupted_route(monkeypatch):
+    # a row-scaled W doubles det(W); the report names it and keeps all routes
+    monkeypatch.setattr(
+        sequences, "build_w", lambda p, n: build_w(p, n).scale_row(0, 2)
+    )
+    r = cross_check(1, 3)
+    assert not r.all_equal
+    assert r.first_mismatch == ("recurrence", "det-w")
+    assert list(r.values) == ["recurrence", "det-w", "det-m", "per-h", "per-k"]
+
+
+# --- closed form ----------------------------------------------------------------
+#
+# G(p, n) = sum_k C(n-1-pk, k) x^(n-1-(p+1)k) y^k, in plain ints via
+# math.comb, so these checks share no arithmetic with the ring.  Every
+# family substitutes monomials c*x^a*y^b for x and y, so its members are
+# the same sum with each term mapped to another monomial.
+
+
+def closed_form(p, n, xsub=(1, 1, 0), ysub=(1, 0, 1)):
+    """{(xexp, yexp): coefficient} of G(p, n) with x -> cx*x^ax*y^bx and
+    y -> cy*x^ay*y^by, given as (c, a, b)."""
+    (cx, ax, bx), (cy, ay, by) = xsub, ysub
+    terms = {}
+    for k in range((n - 1) // (p + 1) + 1 if n >= 1 else 0):
+        e = n - 1 - (p + 1) * k
+        mono = (ax * e + ay * k, bx * e + by * k)
+        terms[mono] = terms.get(mono, 0) + math.comb(n - 1 - p * k, k) * cx**e * cy**k
+    return {mono: c for mono, c in terms.items() if c}
+
+
+def plain_terms(poly):
+    assert all(c.im == 0 for _, c in poly.terms())
+    return {mono: c.re for mono, c in poly.terms()}
+
+
+def as_monomial(poly):
+    [((a, b), c)] = poly.terms()
+    assert c.im == 0
+    return c.re, a, b
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_f_poly_matches_closed_form(p):
+    prefix = f_poly_prefix(p, 59)
+    for n in range(60):
+        assert plain_terms(prefix[n]) == closed_form(p, n)
+        assert plain_terms(f_poly(p, n)) == closed_form(p, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_matches_closed_form(name):
+    fam = get_family(name)
+    subs = as_monomial(fam.xsub), as_monomial(fam.ysub)
+    for p in [fam.p] if fam.p is not None else range(1, 6):
+        for n in range(60 - fam.index_offset):
+            got = plain_terms(family_value(fam, n, p=p))
+            assert got == closed_form(p, n + fam.index_offset, *subs), (p, n)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_fib_p_number_matches_closed_form(p):
+    for n in range(1, 60):
+        assert {(0, 0): fib_p_number(p, n)} == closed_form(p, n, (1, 0, 0), (1, 0, 0))
