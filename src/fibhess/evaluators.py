@@ -6,10 +6,9 @@ The fast evaluators advance iteratively over leading principal minors:
              + sum_{r<m} (-1)^{m-r} a_{m,r} (prod_{j=r}^{m-1} a_{j,j+1}) det(A_{r-1})
 
 with det(A_0) = 1, and the permanent satisfies the same recursion without
-the sign.  A recorded band offset narrows the inner sum to the single
-surviving r, making the whole computation O(n) large multiplications;
-zero terms are always confirmed by exact comparison with the zero
-polynomial, never by the annotation alone.
+the sign.  The inner sum runs over the nonzero entries of row m only,
+nearest the diagonal first, carrying the superdiagonal product along: a
+banded matrix costs O(n) large multiplications, a dense one O(n^2).
 
 The brute-force oracles (first-row Laplace expansion, permutation sum)
 ignore the Hessenberg structure entirely and exist to cross-check the
@@ -42,35 +41,18 @@ class EvalBudget:
 
 
 def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
-    n = a.n
     minors = [ONE]  # minors[k] = det/per of the leading k x k block
-    band = a.band
-    for m in range(1, n + 1):
-        total = a[m - 1, m - 1] * minors[m - 1]
-        if band is not None:
-            # Only r = m - band can be nonzero below the diagonal.
-            r = m - band
-            if r >= 1 and not a[m - 1, r - 1].is_zero():
-                prod = ONE
-                for j in range(r, m):
-                    prod = prod * a[j - 1, j]
-                term = a[m - 1, r - 1] * prod * minors[r - 1]
-                if signed and (m - r) % 2 == 1:
-                    term = -term
-                total = total + term
-        else:
-            prod = ONE
-            for r in range(m - 1, 0, -1):
-                prod = prod * a[r - 1, r]
-                entry = a[m - 1, r - 1]
-                if entry.is_zero():
-                    continue
-                term = entry * prod * minors[r - 1]
-                if signed and (m - r) % 2 == 1:
-                    term = -term
-                total = total + term
+    for i in range(a.n):
+        total = a[i, i] * minors[i]
+        prod, k = ONE, i  # prod = a[k, k+1] * ... * a[i-1, i]
+        for c, entry in a._below_diagonal(i):
+            while k > c:
+                k -= 1
+                prod = prod * a[k, k + 1]
+            term = entry * prod * minors[c]
+            total = total + (-term if signed and (i - c) % 2 else term)
         minors.append(total)
-    return minors[n]
+    return minors[-1]
 
 
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:

@@ -11,7 +11,8 @@ diagonal.  They differ only in the two constants:
     K        1               y
 
 Determinants of W and M, and permanents of H and K, all produce the same
-polynomial sequence.
+polynomial sequence.  A matrix keeps only its nonzero entries (about 3n
+of them here), so building and storing one costs O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -26,37 +27,49 @@ class ShapeError(ValueError):
 class HessenbergMatrix:
     """Immutable square lower-Hessenberg matrix over BivarPoly.
 
-    ``band``, when given, records that the only nonzero sub-diagonal band
-    sits at offset ``band`` below the main diagonal; evaluators may use it
-    as a fast path but never rely on it for correctness.
+    Stored by its nonzeros, one ``{col: entry}`` map per row; ``rows()``
+    and ``str()`` build the dense view on demand.  ``band``, when given,
+    records that the only nonzero sub-diagonal band sits at offset ``band``
+    below the main diagonal; it is validated, and no evaluator reads it.
     """
 
-    __slots__ = ("_entries", "_n", "_band")
+    __slots__ = ("_rows", "_n", "_band")
 
     def __init__(self, entries, band: int | None = None):
-        rows = [tuple(row) for row in entries]
+        rows = [dict(enumerate(row)) for row in entries]
+        if any(len(row) != len(rows) for row in rows):
+            raise ShapeError("matrix must be square")
+        self._init(rows, band)
+
+    @classmethod
+    def _from_nonzeros(cls, rows: list[dict], band: int | None) -> "HessenbergMatrix":
+        a = cls.__new__(cls)
+        a._init(rows, band)
+        return a
+
+    def _init(self, rows: list[dict], band: int | None) -> None:
         n = len(rows)
         if n == 0:
             raise ShapeError("matrix order must be at least 1")
-        for row in rows:
-            if len(row) != n:
-                raise ShapeError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                e = rows[i][j]
+        for i, row in enumerate(rows):
+            for j, e in row.items():
                 if not isinstance(e, BivarPoly):
                     raise TypeError("entries must be BivarPoly")
-                if j - i > 1 and not e.is_zero():
+                if not 0 <= j < n:
+                    raise ShapeError("matrix must be square")
+                if e.is_zero():
+                    continue
+                if j - i > 1:
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
-                if band is not None and i > j and i - j != band and not e.is_zero():
+                if band is not None and i > j and i - j != band:
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) off the recorded band {band} is nonzero"
                     )
         if band is not None and band < 0:
             raise ValueError("band offset must be nonnegative")
-        self._entries = tuple(rows)
+        self._rows = tuple({j: e for j, e in r.items() if not e.is_zero()} for r in rows)
         self._n = n
         self._band = band
 
@@ -71,20 +84,26 @@ class HessenbergMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> BivarPoly:
         """Entry at 0-based (row, col)."""
         i, j = ij
-        return self._entries[i][j]
+        if not (0 <= i < self._n and 0 <= j < self._n):
+            raise IndexError(f"entry ({i}, {j}) outside a matrix of order {self._n}")
+        return self._rows[i].get(j, ZERO)
+
+    def _below_diagonal(self, i: int) -> list[tuple[int, BivarPoly]]:
+        row = self._rows[i]  # nonzero (col, entry) pairs, nearest the diagonal first
+        return [(j, row[j]) for j in sorted(row, reverse=True) if j < i]
 
     def rows(self) -> tuple[tuple[BivarPoly, ...], ...]:
-        return self._entries
+        return tuple(tuple(r.get(j, ZERO) for j in range(self._n)) for r in self._rows)
 
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
         """Copy with every entry of 0-based row i multiplied by c."""
-        rows = [list(r) for r in self._entries]
-        rows[i] = [e.scale(c) for e in rows[i]]
-        return HessenbergMatrix(rows, band=self._band)
+        rows = list(self._rows)
+        rows[i] = {j: e.scale(c) for j, e in rows[i].items()}
+        return HessenbergMatrix._from_nonzeros(rows, self._band)
 
     def __str__(self) -> str:
         return "\n".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self._entries
+            "[" + ", ".join(str(e) for e in row) + "]" for row in self.rows()
         )
 
 
@@ -95,14 +114,13 @@ def _build_banded(p: int, n: int, superdiag: BivarPoly, band_entry: BivarPoly) -
         raise ValueError(f"matrix order n must be >= 1, got {n}")
     rows = []
     for i in range(n):
-        row = [ZERO] * n
-        row[i] = X
+        row = {i: X}
         if i + 1 < n:
             row[i + 1] = superdiag
         if i - p >= 0:
             row[i - p] = band_entry
         rows.append(row)
-    return HessenbergMatrix(rows, band=p)
+    return HessenbergMatrix._from_nonzeros(rows, band=p)
 
 
 def build_w(p: int, n: int) -> HessenbergMatrix:

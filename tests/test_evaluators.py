@@ -168,3 +168,50 @@ def test_band_fast_path_matches_generic():
         bare = HessenbergMatrix([list(r) for r in a.rows()])
         assert det_hessenberg(a) == det_hessenberg(bare)
         assert per_hessenberg(a) == per_hessenberg(bare)
+
+
+def random_general_matrix(rng, n):
+    """Lower Hessenberg with several nonzeros below the diagonal per row.
+
+    Row n-1 always holds at least two entries below the diagonal, and
+    diagonal or superdiagonal entries are zero about one time in four.
+    """
+
+    def small_poly():
+        return P(
+            {
+                (rng.randint(0, 1), rng.randint(0, 1)): GaussianInt(
+                    rng.randint(-2, 2), rng.randint(-2, 2)
+                ),
+                (0, 0): rng.randint(-2, 2),
+            }
+        )
+
+    rows = []
+    for i in range(n):
+        row = [ZERO] * n
+        row[i] = ZERO if rng.random() < 0.25 else small_poly()
+        if i + 1 < n and rng.random() >= 0.25:
+            row[i + 1] = BivarPoly.constant(
+                GaussianInt(rng.randint(-2, 2), rng.randint(-2, 2))
+            )
+        for j in range(i):
+            if rng.random() < 0.6:
+                row[j] = small_poly()
+        rows.append(row)
+    for j in rng.sample(range(n - 1), 2):
+        rows[n - 1][j] = Y + BivarPoly.constant(rng.randint(1, 3))
+    return HessenbergMatrix(rows)
+
+
+def test_recursion_matches_oracles_on_general_matrices():
+    rng = random.Random(19)
+    zero_diag = zero_super = 0
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        a = random_general_matrix(rng, n)
+        zero_diag += sum(a[i, i].is_zero() for i in range(n))
+        zero_super += sum(a[i, i + 1].is_zero() for i in range(n - 1))
+        assert det_hessenberg(a) == det_oracle(a)
+        assert per_hessenberg(a) == per_oracle(a)
+    assert zero_diag > 0 and zero_super > 0

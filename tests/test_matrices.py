@@ -1,5 +1,7 @@
 """Builders for the four banded Hessenberg families and shape checks."""
 
+import tracemalloc
+
 import pytest
 
 from fibhess.matrices import (
@@ -162,3 +164,49 @@ def test_hand_built_matrix_accepted():
     a = HessenbergMatrix([[X, ONE], [Y, X]])
     assert a.n == 2
     assert a.band is None
+
+
+@pytest.mark.parametrize("ij", [(3, 0), (0, 3), (-1, 0), (0, -1), (3, 3)])
+def test_getitem_outside_the_matrix_raises(ij):
+    a = build_k(1, 3)
+    with pytest.raises(IndexError):
+        a[ij]
+
+
+def test_nonzero_rows_validated_like_dense_ones():
+    # the builders' constructor runs the same checks as the dense one
+    with pytest.raises(ShapeError):
+        HessenbergMatrix._from_nonzeros([{0: X, 1: ONE}], band=None)  # order 1
+    with pytest.raises(ShapeError):
+        HessenbergMatrix._from_nonzeros([{0: X, 2: ONE}, {1: X}, {2: X}], band=None)
+    with pytest.raises(ShapeError):
+        HessenbergMatrix._from_nonzeros([{0: X}, {0: Y, 1: X}], band=2)
+    with pytest.raises(TypeError):
+        HessenbergMatrix._from_nonzeros([{0: 1}], band=None)
+
+
+def test_scale_row_by_zero_drops_the_row():
+    a = build_m(1, 3).scale_row(1, 0)
+    assert a.rows()[1] == (ZERO, ZERO, ZERO)
+    assert a.rows()[0] == build_m(1, 3).rows()[0]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_dense_round_trip(builder, p, n):
+    a = builder(p, n)
+    b = HessenbergMatrix(a.rows(), band=a.band)
+    assert b.rows() == a.rows()
+    assert str(b) == str(a)
+
+
+def test_banded_storage_is_linear_in_order():
+    # about 3n nonzeros: a dense n x n grid of order 3000 would need 9M slots
+    tracemalloc.start()
+    try:
+        build_w(1, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
