@@ -97,6 +97,8 @@ class HessenbergMatrix:
 
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
         """Copy with every entry of 0-based row i multiplied by c."""
+        if not 0 <= i < self._n:
+            raise IndexError(f"row {i} outside a matrix of order {self._n}")
         rows = list(self._rows)
         rows[i] = {j: e.scale(c) for j, e in rows[i].items()}
         return HessenbergMatrix._from_nonzeros(rows, self._band)

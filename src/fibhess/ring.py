@@ -2,9 +2,13 @@
 
 Everything here is immutable and pure.  Coefficients are Gaussian integers
 (a + bi with arbitrary-precision int parts) because the W and H matrix
-families carry the imaginary unit in their entries.  Polynomials are kept
-in canonical form at all times: a term map with no zero coefficients, so
-equality is plain structural equality.
+families carry the imaginary unit in their entries.  A polynomial is stored
+as an integer polynomial in x, y and i reduced by i^2 = -1: a term map
+{(xexp, yexp, iexp): int} with iexp in {0, 1}, so the coefficient a + bi of
+x^xexp y^yexp is held as a at iexp 0 and b at iexp 1.  The map never holds
+a zero, so equality is plain structural equality, and add, mul and neg are
+loops over plain ints.  ``GaussianInt`` values are built only at the
+boundary: constructor input, ``terms()``, ``coeff()`` and ``eval_at``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,22 @@ from dataclasses import dataclass
 # Exponent pair (xexp, yexp).  Tuple comparison gives the lexicographic
 # order used for canonical (descending) term ordering.
 Monomial = tuple[int, int]
+# Stored term key (xexp, yexp, iexp), iexp in {0, 1}.
+_Term = tuple[int, int, int]
+
+
+def _power(base, k: int, one):
+    """base**k by square-and-multiply, for k >= 0."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 @dataclass(frozen=True)
@@ -39,16 +59,7 @@ class GaussianInt:
         return GaussianInt(-self.re, -self.im)
 
     def __pow__(self, k: int) -> "GaussianInt":
-        if k < 0:
-            raise ValueError("negative exponent")
-        result = GI_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, GI_ONE)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -59,13 +70,9 @@ class GaussianInt:
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
-        im = f"i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imag}"
+        imag = ("-" if self.im < 0 else "+") + ("i" if mag == 1 else f"{mag}i")
+        return imag.lstrip("+") if self.re == 0 else f"{self.re}{imag}"
 
 
 GI_ZERO = GaussianInt(0, 0)
@@ -100,43 +107,27 @@ class BivarPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        canonical: dict[Monomial, GaussianInt] = {}
+        canonical: dict[_Term, int] = {}
         if terms:
-            for mono, coeff in terms.items():
-                xe, ye = mono
+            for (xe, ye), coeff in terms.items():
                 if xe < 0 or ye < 0:
                     raise ValueError("exponents must be nonnegative")
                 c = _as_gaussian(coeff)
-                if not c.is_zero():
-                    canonical[(xe, ye)] = c
+                for ie, part in ((0, c.re), (1, c.im)):
+                    if part:
+                        canonical[(xe, ye, ie)] = part
         self._terms = canonical
         self._hash = None
 
     # --- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "BivarPoly":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "BivarPoly":
-        return _ONE
-
-    @classmethod
     def constant(cls, c) -> "BivarPoly":
-        return cls({(0, 0): _as_gaussian(c)})
-
-    @classmethod
-    def x(cls) -> "BivarPoly":
-        return _X
-
-    @classmethod
-    def y(cls) -> "BivarPoly":
-        return _Y
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, coeff, xexp: int, yexp: int) -> "BivarPoly":
-        return cls({(xexp, yexp): _as_gaussian(coeff)})
+        return cls({(xexp, yexp): coeff})
 
     # --- queries ------------------------------------------------------
 
@@ -145,80 +136,69 @@ class BivarPoly:
 
     def terms(self) -> list[tuple[Monomial, GaussianInt]]:
         """Terms in canonical descending lexicographic order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        monos = sorted({(xe, ye) for xe, ye, _ in self._terms}, reverse=True)
+        return [(mono, self.coeff(*mono)) for mono in monos]
 
     def coeff(self, xexp: int, yexp: int) -> GaussianInt:
-        return self._terms.get((xexp, yexp), GI_ZERO)
+        get = self._terms.get
+        return GaussianInt(get((xexp, yexp, 0), 0), get((xexp, yexp, 1), 0))
 
     def x_degree(self) -> int:
-        return max((xe for xe, _ in self._terms), default=0)
+        return max((xe for xe, _, _ in self._terms), default=0)
 
     def is_real(self) -> bool:
-        return all(c.im == 0 for c in self._terms.values())
+        return not any(ie for _, _, ie in self._terms)
 
     # --- ring operations ----------------------------------------------
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, GI_ZERO) + c
-            if s.is_zero():
-                out.pop(mono, None)
+        for t, c in other._terms.items():
+            s = out.get(t, 0) + c
+            if s:
+                out[t] = s
             else:
-                out[mono] = s
+                del out[t]
         return _wrap(out)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
 
     def __neg__(self) -> "BivarPoly":
-        return _wrap({m: -c for m, c in self._terms.items()})
+        return _wrap({t: -c for t, c in self._terms.items()})
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[Monomial, GaussianInt] = {}
-        for (xa, ya), ca in self._terms.items():
-            for (xb, yb), cb in other._terms.items():
-                mono = (xa + xb, ya + yb)
-                s = out.get(mono, GI_ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return _wrap(out)
+        out: dict[_Term, int] = {}
+        get = out.get
+        theirs = other._terms.items()
+        for (xa, ya, ia), ca in self._terms.items():
+            for (xb, yb, ib), cb in theirs:
+                t = (xa + xb, ya + yb, ia ^ ib)
+                out[t] = get(t, 0) + (-ca * cb if ia & ib else ca * cb)
+        return _wrap({t: c for t, c in out.items() if c})
 
     def __pow__(self, k: int) -> "BivarPoly":
-        if k < 0:
-            raise ValueError("negative exponent")
-        result = _ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, ONE)
 
     def scale(self, c) -> "BivarPoly":
-        cg = _as_gaussian(c)
-        if cg.is_zero():
-            return _ZERO
-        return _wrap({m: coeff * cg for m, coeff in self._terms.items()})
+        return self * BivarPoly.constant(c)
 
     # --- substitution and evaluation ----------------------------------
 
     def substitute(self, xsub: "BivarPoly", ysub: "BivarPoly") -> "BivarPoly":
         """Replace x by xsub and y by ysub, fully expanded and canonical."""
-        result = _ZERO
+        result = ZERO
         for (xe, ye), c in self.terms():
             result = result + (xsub**xe * ysub**ye).scale(c)
         return result
 
     def eval_at(self, x0, y0) -> GaussianInt:
-        """Exact value of the polynomial at a Gaussian-integer point."""
+        """Exact value of the polynomial at a Gaussian-integer point,
+        computed in ``GaussianInt`` arithmetic rather than the ring's own."""
         x0 = _as_gaussian(x0)
         y0 = _as_gaussian(y0)
         total = GI_ZERO
-        for (xe, ye), c in self._terms.items():
+        for (xe, ye), c in self.terms():
             total = total + c * x0**xe * y0**ye
         return total
 
@@ -279,12 +259,11 @@ def _coeff_str(c: GaussianInt, has_vars: bool) -> tuple[str, int]:
         return str(mag), sign
     if c.re == 0:
         sign = 1 if c.im >= 0 else -1
-        mag = abs(c.im)
-        return ("i" if mag == 1 else f"{mag}i"), sign
+        return str(GaussianInt(0, abs(c.im))), sign
     return f"({c})", 1
 
 
-def _wrap(terms: dict[Monomial, GaussianInt]) -> BivarPoly:
+def _wrap(terms: dict[_Term, int]) -> BivarPoly:
     # Internal fast path: terms are already canonical.
     p = BivarPoly.__new__(BivarPoly)
     p._terms = terms
@@ -292,12 +271,7 @@ def _wrap(terms: dict[Monomial, GaussianInt]) -> BivarPoly:
     return p
 
 
-_ZERO = BivarPoly()
-_ONE = BivarPoly({(0, 0): 1})
-_X = BivarPoly({(1, 0): 1})
-_Y = BivarPoly({(0, 1): 1})
-
-ZERO = _ZERO
-ONE = _ONE
-X = _X
-Y = _Y
+ZERO = BivarPoly()
+ONE = BivarPoly({(0, 0): 1})
+X = BivarPoly({(1, 0): 1})
+Y = BivarPoly({(0, 1): 1})

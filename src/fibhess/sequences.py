@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .evaluators import EvalBudget, det_hessenberg, det_oracle, per_hessenberg, per_oracle
+from .evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from .matrices import build_h, build_k, build_m, build_w
 from .ring import ONE, X, Y, BivarPoly
 
@@ -173,8 +173,8 @@ ROUTES: dict[str, _Route] = {
     "det-m": _on_matrix(lambda p, order: det_hessenberg(build_m(p, order))),
     "per-h": _on_matrix(lambda p, order: per_hessenberg(build_h(p, order))),
     "per-k": _on_matrix(lambda p, order: per_hessenberg(build_k(p, order))),
-    "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order), EvalBudget())),
-    "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order), EvalBudget())),
+    "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order))),
+    "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order))),
 }
 _FAST_ROUTES = tuple(name for name in ROUTES if not name.startswith("oracle-"))
 

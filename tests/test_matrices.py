@@ -185,6 +185,12 @@ def test_nonzero_rows_validated_like_dense_ones():
         HessenbergMatrix._from_nonzeros([{0: 1}], band=None)
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_scale_row_outside_the_matrix_raises(i):
+    with pytest.raises(IndexError):
+        build_k(1, 3).scale_row(i, 2)
+
+
 def test_scale_row_by_zero_drops_the_row():
     a = build_m(1, 3).scale_row(1, 0)
     assert a.rows()[1] == (ZERO, ZERO, ZERO)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibhess import build_h, build_w, det_hessenberg, f_poly, per_hessenberg
 from fibhess.ring import (
     ONE,
     X,
@@ -44,6 +45,15 @@ def test_gaussian_str():
     assert str(GaussianInt(0, -2)) == "-2i"
     assert str(GaussianInt(5, 0)) == "5"
     assert str(GaussianInt(1, -1)) == "1-i"
+
+
+def test_gaussian_pow():
+    g = GaussianInt(2, -3)
+    assert g**3 == g * g * g
+    assert GaussianInt(1, 1) ** 4 == GaussianInt(-4, 0)
+    assert GaussianInt(7, 5) ** 0 == GaussianInt(1, 0)
+    with pytest.raises(ValueError):
+        GaussianInt(0, 1) ** -1
 
 
 def test_i_pow_table():
@@ -90,10 +100,12 @@ def test_mul_exponent_addition():
 def test_mul_i_times_i():
     i_const = BivarPoly.constant(GaussianInt(0, 1))
     assert i_const * i_const == BivarPoly.constant(-1)
+    assert X.scale(GaussianInt(0, 1)) * Y.scale(GaussianInt(0, 1)) == -(X * Y)
 
 
 def test_mul_difference_of_squares():
     assert (X + Y) * (X - Y) == poly({(2, 0): 1, (0, 2): -1})
+    assert len({(X + Y) * (X - Y), X * X - Y * Y}) == 1
 
 
 def test_canonical_no_zero_terms():
@@ -101,6 +113,18 @@ def test_canonical_no_zero_terms():
     assert p.is_zero()
     assert p == ZERO
     assert p.terms() == []
+
+
+@pytest.mark.parametrize(
+    "cancelled, kept",
+    [(GaussianInt(1, 0), GaussianInt(0, 1)), (GaussianInt(0, 1), GaussianInt(1, 0))],
+)
+def test_partial_cancellation_keeps_the_other_part(cancelled, kept):
+    p = X.scale(GaussianInt(1, 1)) - X.scale(cancelled)
+    assert p.terms() == [((1, 0), kept)]
+    assert p.coeff(1, 0) == kept
+    assert p.is_real() is (kept.im == 0)
+    assert p == X.scale(kept)
 
 
 def test_pow():
@@ -178,6 +202,7 @@ points = st.integers(min_value=-5, max_value=5)
 @given(polys, polys)
 def test_law_add_commutative(a, b):
     assert a + b == b + a
+    assert hash(a + b) == hash(b + a)
 
 
 @settings(max_examples=200)
@@ -190,6 +215,7 @@ def test_law_add_associative(a, b, c):
 @given(polys, polys)
 def test_law_mul_commutative(a, b):
     assert a * b == b * a
+    assert hash(a * b) == hash(b * a)
 
 
 @settings(max_examples=200)
@@ -223,3 +249,20 @@ def test_eval_is_ring_homomorphism(a, b, x0, y0):
 @given(polys)
 def test_substitute_identity_property(a):
     assert a.substitute(X, Y) == a
+
+
+def test_ring_hot_path_builds_no_gaussian_ints(monkeypatch):
+    # coefficients are plain ints inside the ring; GaussianInt is built only
+    # at its boundary (input, terms(), coeff(), eval_at)
+    w, h = build_w(2, 60), build_h(2, 60)
+    built = []
+    init = GaussianInt.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianInt, "__init__", counting_init)
+    values = f_poly(2, 60), det_hessenberg(w), per_hessenberg(h)
+    assert built == []
+    assert values[1] == values[2] == f_poly(2, 61)
