@@ -9,8 +9,11 @@ internally so every method answers the same question.
 The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
 
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage
-error, 3 brute-force oracle budget exceeded.  When stdout is a pipe that
-the reader closes early, the process ends by SIGPIPE, as cat does.
+error, 3 brute-force oracle budget exceeded.  Each command checks its
+arguments before it computes anything and raises ``UsageError`` for a bad
+one; only that and ``BudgetExceeded`` become exit codes, so any other
+exception is a bug and surfaces with its traceback.  When stdout is a pipe
+that the reader closes early, the process ends by SIGPIPE, as cat does.
 
 JSON coefficients are decimal strings: they outgrow 64-bit integers
 quickly as n increases.
@@ -45,6 +48,11 @@ class UsageError(Exception):
     pass
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be >= {least}, got {value}")
+
+
 def poly_terms_json(poly: BivarPoly) -> list[dict[str, object]]:
     return [
         {"xexp": xe, "yexp": ye, "re": str(c.re), "im": str(c.im)}
@@ -73,6 +81,11 @@ def _emit_poly(poly: BivarPoly, fmt: str, record: dict[str, object]) -> None:
 
 
 def _cmd_gen(args) -> int:
+    _require_at_least("--p", args.p, 1)
+    if args.method == "recurrence":
+        _require_at_least("--n", args.n, 0)
+    else:  # the other routes evaluate the order n-1 matrix
+        _require_at_least(f"--n with --method {args.method}", args.n, 1)
     poly = ROUTES[args.method](args.p, args.n)
     _emit_poly(poly, args.format, {"p": args.p, "n": args.n, "method": args.method})
     return EXIT_OK
@@ -83,6 +96,11 @@ def _cmd_family(args) -> int:
         spec = get_family(args.name)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
+    if spec.p is None:
+        if args.p is None:
+            raise UsageError(f"family {spec.name!r} needs --p")
+        _require_at_least("--p", args.p, 1)
+    _require_at_least("--n", args.n, 0)
     poly = family_value(spec, args.n, p=args.p)
     _emit_poly(
         poly,
@@ -97,8 +115,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.p_max < 1 or args.n_max < 1:
-        raise UsageError("--p-max and --n-max must be >= 1")
+    _require_at_least("--p-max", args.p_max, 1)
+    _require_at_least("--n-max", args.n_max, 1)
     total = 0
     passed = 0
     first_failure = None
@@ -141,6 +159,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    _require_at_least("--p", args.p, 1)
+    _require_at_least("--order", args.order, 1)
     builder = _BUILDERS[args.kind]
     print(builder(args.p, args.order))
     return EXIT_OK
@@ -195,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,7 +8,14 @@ The fast evaluators advance iteratively over leading principal minors:
 with det(A_0) = 1, and the permanent satisfies the same recursion without
 the sign.  The inner sum runs over the nonzero entries of row m only,
 nearest the diagonal first, carrying the superdiagonal product along: a
-banded matrix costs O(n) large multiplications, a dense one O(n^2).
+banded matrix costs O(n) large multiplications, a dense one O(n^2).  Each
+row's (coefficient, minor) pairs go to the ring's ``sum_of_products`` in
+one call, so a row builds one new polynomial.
+
+A minor is dropped after the last row that reads it: minor c is read by
+row c and by every row with a nonzero in column c.  A matrix with one
+sub-diagonal band at offset p therefore holds p + 2 minors at a time, not
+n + 1, and memory is O(band * terms) instead of O(n * terms).
 
 The brute-force oracles (first-row Laplace expansion, permutation sum)
 ignore the Hessenberg structure entirely and exist to cross-check the
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .matrices import HessenbergMatrix
-from .ring import ONE, BivarPoly, ZERO
+from .ring import ONE, BivarPoly, ZERO, sum_of_products
 
 
 class BudgetExceeded(ValueError):
@@ -41,18 +48,28 @@ class EvalBudget:
 
 
 def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
-    minors = [ONE]  # minors[k] = det/per of the leading k x k block
-    for i in range(a.n):
-        total = a[i, i] * minors[i]
+    n = a.n
+    below = [a._below_diagonal(i) for i in range(n)]
+    # last_read[c]: the last row that reads minor c (row c itself, or a
+    # later row with a nonzero in column c); minor n is the result
+    last_read = list(range(n + 1))
+    for i, entries in enumerate(below):
+        for c, _ in entries:
+            last_read[c] = i
+    minors = {0: ONE}  # minors[k] = det/per of the leading k x k block
+    for i in range(n):
+        pairs = [(a[i, i], minors[i])]
         prod, k = ONE, i  # prod = a[k, k+1] * ... * a[i-1, i]
-        for c, entry in a._below_diagonal(i):
+        for c, entry in below[i]:
             while k > c:
                 k -= 1
                 prod = prod * a[k, k + 1]
-            term = entry * prod * minors[c]
-            total = total + (-term if signed and (i - c) % 2 else term)
-        minors.append(total)
-    return minors[-1]
+            coeff = entry * prod
+            pairs.append((-coeff if signed and (i - c) % 2 else coeff, minors[c]))
+        minors[i + 1] = sum_of_products(pairs)
+        for c in [c for c in minors if last_read[c] == i]:
+            del minors[c]
+    return minors[n]
 
 
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:

@@ -9,6 +9,12 @@ x^xexp y^yexp is held as a at iexp 0 and b at iexp 1.  The map never holds
 a zero, so equality is plain structural equality, and add, mul and neg are
 loops over plain ints.  ``GaussianInt`` values are built only at the
 boundary: constructor input, ``terms()``, ``coeff()`` and ``eval_at``.
+
+All multiplication goes through one kernel, ``sum_of_products``: it adds
+the products of any number of pairs into one scratch term map and drops
+the zeros once at the end.  ``a * b`` is its one-pair case, and a
+recursion step such as x*G(n-1) + y*G(n-p-1) is one call, so the step
+builds no intermediate product polynomials.
 """
 
 from __future__ import annotations
@@ -91,6 +97,8 @@ def i_pow(p: int) -> GaussianInt:
 
 def _as_gaussian(c) -> GaussianInt:
     if isinstance(c, GaussianInt):
+        if not (isinstance(c.re, int) and isinstance(c.im, int)):
+            raise TypeError(f"Gaussian integer parts must be int, got {c!r}")
         return c
     if isinstance(c, int):
         return GaussianInt(c, 0)
@@ -110,6 +118,8 @@ class BivarPoly:
         canonical: dict[_Term, int] = {}
         if terms:
             for (xe, ye), coeff in terms.items():
+                if not (isinstance(xe, int) and isinstance(ye, int)):
+                    raise TypeError(f"exponents must be int, got {(xe, ye)!r}")
                 if xe < 0 or ye < 0:
                     raise ValueError("exponents must be nonnegative")
                 c = _as_gaussian(coeff)
@@ -152,6 +162,8 @@ class BivarPoly:
     # --- ring operations ----------------------------------------------
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
+        if not isinstance(other, BivarPoly):
+            return NotImplemented
         out = dict(self._terms)
         for t, c in other._terms.items():
             s = out.get(t, 0) + c
@@ -162,20 +174,17 @@ class BivarPoly:
         return _wrap(out)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
+        if not isinstance(other, BivarPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "BivarPoly":
         return _wrap({t: -c for t, c in self._terms.items()})
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[_Term, int] = {}
-        get = out.get
-        theirs = other._terms.items()
-        for (xa, ya, ia), ca in self._terms.items():
-            for (xb, yb, ib), cb in theirs:
-                t = (xa + xb, ya + yb, ia ^ ib)
-                out[t] = get(t, 0) + (-ca * cb if ia & ib else ca * cb)
-        return _wrap({t: c for t, c in out.items() if c})
+        if not isinstance(other, BivarPoly):
+            return NotImplemented
+        return sum_of_products(((self, other),))
 
     def __pow__(self, k: int) -> "BivarPoly":
         return _power(self, k, ONE)
@@ -261,6 +270,31 @@ def _coeff_str(c: GaussianInt, has_vars: bool) -> tuple[str, int]:
         sign = 1 if c.im >= 0 else -1
         return str(GaussianInt(0, abs(c.im))), sign
     return f"({c})", 1
+
+
+def sum_of_products(pairs) -> BivarPoly:
+    """a1*b1 + a2*b2 + ... over an iterable of (BivarPoly, BivarPoly) pairs.
+
+    Every product is added straight into one scratch term map, and zeros
+    are dropped once at the end.  Each pair loops over its operand with
+    fewer terms on the outside, and the sign an i*i product takes is
+    settled once per outer term.
+    """
+    out: dict[_Term, int] = {}
+    get = out.get
+    for a, b in pairs:
+        small, big = a._terms, b._terms
+        if len(small) > len(big):
+            small, big = big, small
+        big = big.items()
+        for (xa, ya, ia), ca in small.items():
+            both_i = -ca if ia else ca  # factor for an i-term of the other operand
+            for (xb, yb, ib), cb in big:
+                t = (xa + xb, ya + yb, ia ^ ib)
+                out[t] = get(t, 0) + (both_i if ib else ca) * cb
+    for t in [t for t, c in out.items() if not c]:
+        del out[t]
+    return _wrap(out)
 
 
 def _wrap(terms: dict[_Term, int]) -> BivarPoly:

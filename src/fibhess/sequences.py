@@ -18,13 +18,15 @@ instead of substituting into the bivariate G.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterator
 
 from .evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from .matrices import build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly
+from .ring import ONE, X, Y, ZERO, BivarPoly, sum_of_products
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -34,46 +36,49 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
         raise ValueError(f"n must be >= {n_min}, got {n}")
 
 
-def _recurrence(p: int, n: int, x, y) -> Iterator:
-    """Yield terms 0..n of the recurrence with ``x`` and ``y`` in place of
-    the two variables, in their ring (``BivarPoly``, or int for
-    fib_p_number), whose 0 and 1 are x - x and x**0.  The arguments are not
-    checked.  Only the last p+1 terms are held, so taking just the n-th
-    keeps memory O(p) terms."""
-    window = deque([x - x], maxlen=p + 1)  # G(k-p-1) .. G(k-1)
-    yield window[0]
-    for k in range(1, n + 1):
-        if k == 1:
-            term = x**0
-        elif k <= p + 1:
-            term = x * window[-1]
-        else:
-            term = x * window[-1] + y * window[0]
-        window.append(term)
-        yield term
+def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> Iterator:
+    """Yield terms 0..n of the recurrence G(k) = step(G(k-1), G(k-p-1)),
+    with G(1) = ``one`` and G(k) = ``zero`` for k <= 0, in the ring of
+    ``zero`` and ``one`` (``BivarPoly``, or int for fib_p_number).  Terms
+    2..p+1 need no branch of their own: their G(k-p-1) is zero.  The
+    arguments are not checked.  Only the last p+1 terms are held, so taking
+    just the n-th keeps memory O(p) terms."""
+    window = deque([zero] * p + [one], maxlen=p + 1)  # G(k-p-1) .. G(k-1)
+    yield from islice((zero, one), n + 1)
+    for _ in range(2, n + 1):
+        window.append(step(window[-1], window[0]))
+        yield window[-1]
 
 
-def _nth(p: int, n: int, x, y):
-    return deque(_recurrence(p, n, x, y), maxlen=1)[0]
+def _poly_recurrence(p: int, n: int, x: BivarPoly, y: BivarPoly) -> Iterator[BivarPoly]:
+    """Terms 0..n of G with ``x`` and ``y`` in place of the two variables;
+    each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate."""
+    return _recurrence(
+        p, n, lambda last, back: sum_of_products(((x, last), (y, back))), ZERO, ONE
+    )
+
+
+def _last(terms: Iterator):
+    return deque(terms, maxlen=1)[0]
 
 
 def f_poly(p: int, n: int) -> BivarPoly:
     """n-th term of the coefficiented recurrence for parameter p."""
     _check_args(p, n)
-    return _nth(p, n, X, Y)
+    return _last(_poly_recurrence(p, n, X, Y))
 
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
     """Terms 0..n as a list."""
     _check_args(p, n)
-    return list(_recurrence(p, n, X, Y))
+    return list(_poly_recurrence(p, n, X, Y))
 
 
 def fib_p_number(p: int, n: int) -> int:
     """Integer sequence with p+1 leading ones, a(n) = a(n-1) + a(n-p-1):
     the recurrence at x = y = 1."""
     _check_args(p, n, n_min=1)
-    return _nth(p, n, 1, 1)
+    return _last(_recurrence(p, n, operator.add, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     else:
         raise ValueError(f"family {spec.name!r} needs an explicit p")
     _check_args(eff_p, n)
-    return _nth(eff_p, n + spec.index_offset, spec.xsub, spec.ysub)
+    return _last(_poly_recurrence(eff_p, n + spec.index_offset, spec.xsub, spec.ysub))
 
 
 def get_family(name: str) -> FamilySpec:

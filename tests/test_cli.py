@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import fibhess.cli as cli
 import fibhess.sequences as sequences
 from fibhess.cli import (
     EXIT_BUDGET,
@@ -227,6 +228,46 @@ def test_check_closed_pipe_ends_quietly():
 
 def test_check_usage(capsys):
     assert run(capsys, "check", "--p-max", "0", "--n-max", "3")[0] == EXIT_USAGE
+
+
+# --- error boundary -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--p", "0", "--n", "3", "--method", "per-k"],
+        ["gen", "--p", "2", "--n", "0", "--method", "oracle-det-w"],
+        ["family", "--name", "pell-p-poly", "--n", "3", "--p", "0"],
+        ["family", "--name", "chebyshev-U", "--n", "-1"],
+        ["matrix", "--kind", "k", "--p", "1", "--order", "0"],
+        ["check", "--p-max", "2", "--n-max", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
+    # rejected before any computation: a library call would raise here
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed with bad arguments")
+
+    for table in (sequences.ROUTES, cli._BUILDERS):
+        for name in table:
+            monkeypatch.setitem(table, name, unreachable)
+    monkeypatch.setattr(cli, "family_value", unreachable)
+    monkeypatch.setattr(cli, "cross_check", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(p, n):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(sequences.ROUTES, "recurrence", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["gen", "--p", "1", "--n", "3"])
 
 
 # --- matrix ---------------------------------------------------------------------

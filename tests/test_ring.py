@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fibhess import build_h, build_w, det_hessenberg, f_poly, per_hessenberg
 from fibhess.ring import (
+    GI_ZERO,
     ONE,
     X,
     Y,
@@ -13,6 +14,7 @@ from fibhess.ring import (
     BivarPoly,
     GaussianInt,
     i_pow,
+    sum_of_products,
 )
 
 
@@ -132,6 +134,47 @@ def test_pow():
     assert X**0 == ONE
 
 
+# --- input types at the ring boundary -------------------------------------
+
+
+@pytest.mark.parametrize("mono", [(0.5, 0), (0, 1.0), ("1", 0)])
+def test_non_int_exponent_rejected(mono):
+    with pytest.raises(TypeError):
+        BivarPoly({mono: 1})
+
+
+@pytest.mark.parametrize("coeff", [GaussianInt(1.5, 0), GaussianInt(0, 2.0)])
+def test_non_int_gaussian_part_rejected(coeff):
+    with pytest.raises(TypeError):
+        BivarPoly({(0, 0): coeff})
+    with pytest.raises(TypeError):
+        X.scale(coeff)
+
+
+@pytest.mark.parametrize(
+    "expr", ["X * 3", "3 * X", "X + 1", "1 + X", "X - 1", "1 - X", "X * GaussianInt(0, 1)"]
+)
+def test_operators_reject_non_polys(expr):
+    with pytest.raises(TypeError):
+        eval(expr, {"X": X, "GaussianInt": GaussianInt})
+
+
+# --- the multiply-accumulate kernel ---------------------------------------
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    assert sum_of_products(()) == ZERO
+    assert sum_of_products(iter([])).is_zero()
+
+
+def test_cancellation_across_pairs_is_canonical_zero():
+    r = sum_of_products(((X, Y), (-X, Y)))
+    assert r.is_zero()
+    assert r == ZERO
+    assert hash(r) == hash(ZERO)
+    assert r.terms() == []
+
+
 # --- substitution and evaluation ----------------------------------------
 
 
@@ -243,6 +286,19 @@ def test_law_identities_and_inverse(a):
 def test_eval_is_ring_homomorphism(a, b, x0, y0):
     assert (a * b).eval_at(x0, y0) == a.eval_at(x0, y0) * b.eval_at(x0, y0)
     assert (a + b).eval_at(x0, y0) == a.eval_at(x0, y0) + b.eval_at(x0, y0)
+
+
+gaussian_points = st.builds(GaussianInt, points, points)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(polys, polys), max_size=4), gaussian_points, gaussian_points)
+def test_sum_of_products_matches_gaussian_evaluation(pairs, x0, y0):
+    # eval_at computes in GaussianInt arithmetic, not through the kernel
+    expected = GI_ZERO
+    for a, b in pairs:
+        expected = expected + a.eval_at(x0, y0) * b.eval_at(x0, y0)
+    assert sum_of_products(pairs).eval_at(x0, y0) == expected
 
 
 @settings(max_examples=200)
