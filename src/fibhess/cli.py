@@ -16,12 +16,16 @@ exception is a bug and surfaces with its traceback.  When stdout is a pipe
 that the reader closes early, the process ends by SIGPIPE, as cat does.
 
 JSON coefficients are decimal strings: they outgrow 64-bit integers
-quickly as n increases.
+quickly as n increases.  ``main`` and ``poly_from_terms_json`` lift
+CPython's limit on converting huge ints to and from decimal text (4300
+digits by default; G(1, n) passes it near n = 20600) and restore it
+afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -53,6 +57,21 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise UsageError(f"{flag} must be >= {least}, got {value}")
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int <-> decimal str digit limit, if it has
+    one (CPython 3.10.7 and later), and restore the old limit on exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def poly_terms_json(poly: BivarPoly) -> list[dict[str, object]]:
     return [
         {"xexp": xe, "yexp": ye, "re": str(c.re), "im": str(c.im)}
@@ -64,12 +83,13 @@ def poly_from_terms_json(terms: list[dict]) -> BivarPoly:
     """Rebuild a polynomial from the JSON term-list encoding."""
     from .ring import GaussianInt
 
-    return BivarPoly(
-        {
-            (int(t["xexp"]), int(t["yexp"])): GaussianInt(int(t["re"]), int(t["im"]))
-            for t in terms
-        }
-    )
+    with _unlimited_int_digits():
+        return BivarPoly(
+            {
+                (int(t["xexp"]), int(t["yexp"])): GaussianInt(int(t["re"]), int(t["im"]))
+                for t in terms
+            }
+        )
 
 
 def _emit_poly(poly: BivarPoly, fmt: str, record: dict[str, object]) -> None:
@@ -211,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; normalize other codes too.
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -8,9 +8,19 @@ The fast evaluators advance iteratively over leading principal minors:
 with det(A_0) = 1, and the permanent satisfies the same recursion without
 the sign.  The inner sum runs over the nonzero entries of row m only,
 nearest the diagonal first, carrying the superdiagonal product along: a
-banded matrix costs O(n) large multiplications, a dense one O(n^2).  Each
-row's (coefficient, minor) pairs go to the ring's ``sum_of_products`` in
-one call, so a row builds one new polynomial.
+banded matrix costs O(n) large multiplications, a dense one O(n^2).  For
+det each superdiagonal entry is negated once up front, so the product of
+the i - r entries from column r carries the sign (-1)^(i-r).  Each row's
+(coefficient, minor) pairs go to the kernel's ``sum_of_products`` in one
+call, so a row builds one new value.
+
+The loop is written once over the ring's kernel interface.  A matrix that
+the matrix itself found graded (every entry (i, j) weighted-homogeneous of
+weight i - j + 1, with y of weight w; all four families are, with
+w = p + 1) runs on ``GradedKernel``: its superdiagonal entries are then
+Gaussian scalars, so the carried product is a pair of ints, and its minors
+are dense coefficient lists.  Any other matrix runs on ``PolyKernel``, on
+``BivarPoly`` itself.  Neither reads the ``band`` hint.
 
 A minor is dropped after the last row that reads it: minor c is read by
 row c and by every row with a nonzero in column c.  A matrix with one
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .matrices import HessenbergMatrix
-from .ring import ONE, BivarPoly, ZERO, sum_of_products
+from .ring import ONE, BivarPoly, GradedKernel, PolyKernel, ZERO
 
 
 class BudgetExceeded(ValueError):
@@ -49,27 +59,33 @@ class EvalBudget:
 
 def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
     n = a.n
-    below = [a._below_diagonal(i) for i in range(n)]
+    ring = PolyKernel if a._y_weight is None else GradedKernel(a._y_weight)
+    factor, times, scaled, sum_of_products = (
+        ring.factor, ring.times, ring.scaled, ring.sum_of_products
+    )
+    below = [[(c, factor(e)) for c, e in a._below_diagonal(i)] for i in range(n)]
+    # superdiag[k] = a[k, k+1], negated for det: a product of i - c of them
+    # then carries the sign (-1)^(i-c)
+    superdiag = [ring.scalar(a[k, k + 1], signed) for k in range(n - 1)]
     # last_read[c]: the last row that reads minor c (row c itself, or a
     # later row with a nonzero in column c); minor n is the result
     last_read = list(range(n + 1))
     for i, entries in enumerate(below):
         for c, _ in entries:
             last_read[c] = i
-    minors = {0: ONE}  # minors[k] = det/per of the leading k x k block
+    minors = {0: ring.one}  # minors[k] = det/per of the leading k x k block
     for i in range(n):
-        pairs = [(a[i, i], minors[i])]
-        prod, k = ONE, i  # prod = a[k, k+1] * ... * a[i-1, i]
+        pairs = [(factor(a[i, i]), minors[i])]
+        prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
         for c, entry in below[i]:
             while k > c:
                 k -= 1
-                prod = prod * a[k, k + 1]
-            coeff = entry * prod
-            pairs.append((-coeff if signed and (i - c) % 2 else coeff, minors[c]))
+                prod = times(prod, superdiag[k])
+            pairs.append((scaled(entry, prod), minors[c]))
         minors[i + 1] = sum_of_products(pairs)
         for c in [c for c in minors if last_read[c] == i]:
             del minors[c]
-    return minors[n]
+    return ring.poly(minors[n], n)
 
 
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:

@@ -17,7 +17,7 @@ of them here), so building and storing one costs O(n), not O(n^2).
 
 from __future__ import annotations
 
-from .ring import ONE, X, Y, BivarPoly, GI_I, ZERO, i_pow
+from .ring import ONE, X, Y, BivarPoly, GI_I, GradedKernel, ZERO, i_pow
 
 
 class ShapeError(ValueError):
@@ -31,9 +31,15 @@ class HessenbergMatrix:
     and ``str()`` build the dense view on demand.  ``band``, when given,
     records that the only nonzero sub-diagonal band sits at offset ``band``
     below the main diagonal; it is validated, and no evaluator reads it.
+
+    The same pass over the entries finds the matrix's grading, if it has
+    one: a y-weight w >= 1 under which every term x^a y^b of entry (i, j)
+    has weight a + w*b = i - j + 1.  Then every leading minor is
+    weighted-homogeneous, and the evaluators run on the ring's graded
+    kernel.  ``_y_weight`` holds w, or None for a matrix that is not graded.
     """
 
-    __slots__ = ("_rows", "_n", "_band")
+    __slots__ = ("_rows", "_n", "_band", "_y_weight")
 
     def __init__(self, entries, band: int | None = None):
         rows = [dict(enumerate(row)) for row in entries]
@@ -51,6 +57,7 @@ class HessenbergMatrix:
         n = len(rows)
         if n == 0:
             raise ShapeError("matrix order must be at least 1")
+        w = 0  # the y-weight the entries fix so far; None once one fails
         for i, row in enumerate(rows):
             for j, e in row.items():
                 if not isinstance(e, BivarPoly):
@@ -67,11 +74,14 @@ class HessenbergMatrix:
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) off the recorded band {band} is nonzero"
                     )
+                if w is not None:
+                    w = GradedKernel.weigh(e, i - j + 1, w)
         if band is not None and band < 0:
             raise ValueError("band offset must be nonnegative")
         self._rows = tuple({j: e for j, e in r.items() if not e.is_zero()} for r in rows)
         self._n = n
         self._band = band
+        self._y_weight = None if w is None else w or 1
 
     @property
     def n(self) -> int:

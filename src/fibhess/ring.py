@@ -10,16 +10,30 @@ a zero, so equality is plain structural equality, and add, mul and neg are
 loops over plain ints.  ``GaussianInt`` values are built only at the
 boundary: constructor input, ``terms()``, ``coeff()`` and ``eval_at``.
 
-All multiplication goes through one kernel, ``sum_of_products``: it adds
-the products of any number of pairs into one scratch term map and drops
-the zeros once at the end.  ``a * b`` is its one-pair case, and a
-recursion step such as x*G(n-1) + y*G(n-p-1) is one call, so the step
-builds no intermediate product polynomials.
+All ``BivarPoly`` multiplication goes through one kernel,
+``sum_of_products``: it adds the products of any number of pairs into one
+scratch term map and drops the zeros once at the end.  ``a * b`` is its
+one-pair case, and a recursion step such as x*G(n-1) + y*G(n-p-1) is one
+call, so the step builds no intermediate product polynomials.
+
+The recursions of ``sequences`` and ``evaluators`` are written once over a
+small ring interface (zero, one, unit, factor, scalar, times, scaled,
+sum_of_products, poly) with two implementations.  ``PolyKernel`` runs on
+``BivarPoly`` itself.  ``GradedKernel`` runs on weighted-homogeneous
+values, where x has weight 1 and y weight w: G(p, n) and every leading
+minor of the W/M/H/K matrices are such values for w = p + 1.  A graded
+value of degree d is fixed by its coefficient of x^(d - w*j) y^j for each
+y-degree j, so it is a dense list of plain ints indexed by j (and a second
+list for the imaginary parts, when there are any): no exponent is stored
+or hashed, multiplying by x is free, and multiplying by y shifts the list.
+``GradedKernel.poly`` turns a graded value back into a ``BivarPoly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 # Exponent pair (xexp, yexp).  Tuple comparison gives the lexicographic
 # order used for canonical (descending) term ordering.
@@ -69,9 +83,6 @@ class GaussianInt:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -134,10 +145,6 @@ class BivarPoly:
     @classmethod
     def constant(cls, c) -> "BivarPoly":
         return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, coeff, xexp: int, yexp: int) -> "BivarPoly":
-        return cls({(xexp, yexp): coeff})
 
     # --- queries ------------------------------------------------------
 
@@ -309,3 +316,144 @@ ZERO = BivarPoly()
 ONE = BivarPoly({(0, 0): 1})
 X = BivarPoly({(1, 0): 1})
 Y = BivarPoly({(0, 1): 1})
+
+
+class PolyKernel:
+    """The ring interface of ``BivarPoly`` for a recursion written once
+    over both kernels: a value, a factor and a scalar are all ``BivarPoly``,
+    so every conversion is the identity and every product is ``*``."""
+
+    zero = ZERO
+    one = unit = ONE
+
+    @staticmethod
+    def factor(e: BivarPoly) -> BivarPoly:
+        return e
+
+    @staticmethod
+    def scalar(e: BivarPoly, negate: bool) -> BivarPoly:
+        return -e if negate else e
+
+    times = scaled = staticmethod(mul)
+    sum_of_products = staticmethod(sum_of_products)
+
+    @staticmethod
+    def poly(value: BivarPoly, degree: int) -> BivarPoly:
+        return value
+
+
+class GradedKernel:
+    """The same ring interface on graded values, for weighted-homogeneous
+    polynomials: x has weight 1 and y has weight ``w`` >= 1.
+
+    A value of degree d is fixed by its coefficient of x^(d - w*j) y^j for
+    each y-degree j, so it is held as ``(re, im)``: dense lists of the real
+    and imaginary parts of those coefficients, with ``im`` None when every
+    imaginary part is 0.  No x-exponent is stored; the caller knows each
+    value's degree.  A factor, such as a matrix entry, is sparse instead: a
+    tuple of ``(j, re, im)`` terms.  Multiplying by x is free, multiplying
+    by c*y shifts a list by one and scales it, and a sum of products is a
+    few list adds.  A scalar (weight 0) is a pair ``(re, im)`` of ints.
+    """
+
+    zero = ([], None)
+    one = ([1], None)
+    unit = (1, 0)
+
+    def __init__(self, w: int):
+        self.w = w
+        self._factors: dict[BivarPoly, tuple] = {}  # builders share entries
+
+    @staticmethod
+    def weigh(e: BivarPoly, degree: int, w: int) -> int | None:
+        """The y-weight w >= 1 under which every term of ``e`` has weight
+        ``degree``: ``w`` when it is already fixed (nonzero), else the one
+        the terms fix, or 0 when they hold no y.  None when none fits."""
+        for xe, ye, _ in e._terms:
+            if not ye:
+                if xe != degree:
+                    return None
+            elif w:
+                if xe + w * ye != degree:
+                    return None
+            else:
+                w, rest = divmod(degree - xe, ye)
+                if rest or w < 1:
+                    return None
+        return w
+
+    def factor(self, e: BivarPoly) -> tuple[tuple[int, int, int], ...]:
+        """A graded ``BivarPoly`` as sparse ``(j, re, im)`` terms."""
+        f = self._factors.get(e)
+        if f is None:
+            parts: dict[int, list[int]] = {}
+            for (_, ye, ie), c in e._terms.items():
+                parts.setdefault(ye, [0, 0])[ie] = c
+            f = self._factors[e] = tuple((j, re, im) for j, (re, im) in parts.items())
+        return f
+
+    @staticmethod
+    def scalar(e: BivarPoly, negate: bool) -> tuple[int, int]:
+        """A constant ``BivarPoly``, or its negative, as ``(re, im)``."""
+        get = e._terms.get
+        re, im = get((0, 0, 0), 0), get((0, 0, 1), 0)
+        return (-re, -im) if negate else (re, im)
+
+    @staticmethod
+    def times(s: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
+        return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0]
+
+    @staticmethod
+    def scaled(f, s: tuple[int, int]):
+        """The factor ``f`` times the scalar ``s``."""
+        sr, si = s
+        return tuple((j, r * sr - i * si, r * si + i * sr) for j, r, i in f)
+
+    @staticmethod
+    def sum_of_products(pairs):
+        """f1*v1 + f2*v2 + ... over (factor, value) pairs, as one value."""
+        re = im = None  # None: all zero, and no list made yet
+        for f, (vr, vi) in pairs:
+            for j, cr, ci in f:
+                # (cr + ci*i)(vr + vi*i) = cr*vr - ci*vi + (cr*vi + ci*vr)*i
+                if cr:
+                    re = _add_scaled(re, j, cr, vr)
+                if ci:
+                    im = _add_scaled(im, j, ci, vr)
+                if vi:
+                    if ci:
+                        re = _add_scaled(re, j, -ci, vi)
+                    if cr:
+                        im = _add_scaled(im, j, cr, vi)
+        re = re or []
+        if im is None or not any(im):
+            return re, None
+        size = max(len(re), len(im))  # the two parts share one length
+        re.extend(repeat(0, size - len(re)))
+        im.extend(repeat(0, size - len(im)))
+        return re, im
+
+    def poly(self, value, degree: int) -> BivarPoly:
+        """The ``BivarPoly`` of a graded value of the given degree."""
+        w = self.w
+        terms = {}
+        for ie, part in enumerate(value):
+            for j, c in enumerate(part or ()):
+                if c:
+                    terms[(degree - w * j, j, ie)] = c
+        return _wrap(terms)
+
+
+def _add_scaled(out: list[int] | None, j: int, c: int, v: list[int]) -> list[int]:
+    """out[j + k] += c * v[k] for every k, in place, extending ``out`` with
+    zeros as needed, and returns it.  An ``out`` of None stands for zeros:
+    the first addition makes the list by copying instead of adding."""
+    part = v if c == 1 else map(mul, v, repeat(c))
+    if out is None:
+        out = [0] * j
+        out.extend(part)
+        return out
+    end = j + len(v)
+    out.extend(repeat(0, end - len(out)))
+    out[j:end] = map(add, out[j:end], part)
+    return out

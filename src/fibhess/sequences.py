@@ -14,6 +14,12 @@ optionally shift the index) to recover classical families: Fibonacci,
 Pell, Jacobsthal, and second-kind Chebyshev.  Substitution is a ring
 homomorphism, so a family runs the recurrence on the substituted seeds
 instead of substituting into the bivariate G.
+
+One recurrence loop serves three rings: ``f_poly`` and ``f_poly_prefix``
+run it on the ring's graded kernel (G(p, k) is weighted-homogeneous of
+degree k - 1 when y has weight p + 1) and convert only their results to
+``BivarPoly``; the families run it on ``BivarPoly``; ``fib_p_number`` runs
+it on plain ints.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Any, Callable, Iterator
 
 from .evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from .matrices import build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, ZERO, BivarPoly, sum_of_products
+from .ring import ONE, X, Y, BivarPoly, GradedKernel, PolyKernel
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -50,12 +56,21 @@ def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> I
         yield window[-1]
 
 
-def _poly_recurrence(p: int, n: int, x: BivarPoly, y: BivarPoly) -> Iterator[BivarPoly]:
-    """Terms 0..n of G with ``x`` and ``y`` in place of the two variables;
-    each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate."""
+def _ring_recurrence(p: int, n: int, ring, x, y) -> Iterator:
+    """Terms 0..n of G in a kernel of the ring (``PolyKernel`` or a
+    ``GradedKernel``), with its factors ``x`` and ``y`` in place of the two
+    variables; each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate."""
+    step = ring.sum_of_products
     return _recurrence(
-        p, n, lambda last, back: sum_of_products(((x, last), (y, back))), ZERO, ONE
+        p, n, lambda last, back: step(((x, last), (y, back))), ring.zero, ring.one
     )
+
+
+def _graded_terms(p: int, n: int) -> tuple[Iterator, GradedKernel]:
+    """Terms 0..n of G on the graded kernel, where y has weight p + 1 and
+    G(k) has degree k - 1, with that kernel to convert them."""
+    ring = GradedKernel(p + 1)
+    return _ring_recurrence(p, n, ring, ring.factor(X), ring.factor(Y)), ring
 
 
 def _last(terms: Iterator):
@@ -65,13 +80,15 @@ def _last(terms: Iterator):
 def f_poly(p: int, n: int) -> BivarPoly:
     """n-th term of the coefficiented recurrence for parameter p."""
     _check_args(p, n)
-    return _last(_poly_recurrence(p, n, X, Y))
+    terms, ring = _graded_terms(p, n)
+    return ring.poly(_last(terms), n - 1)
 
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
     """Terms 0..n as a list."""
     _check_args(p, n)
-    return list(_poly_recurrence(p, n, X, Y))
+    terms, ring = _graded_terms(p, n)
+    return [ring.poly(g, k - 1) for k, g in enumerate(terms)]
 
 
 def fib_p_number(p: int, n: int) -> int:
@@ -131,7 +148,9 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     else:
         raise ValueError(f"family {spec.name!r} needs an explicit p")
     _check_args(eff_p, n)
-    return _last(_poly_recurrence(eff_p, n + spec.index_offset, spec.xsub, spec.ysub))
+    return _last(
+        _ring_recurrence(eff_p, n + spec.index_offset, PolyKernel, spec.xsub, spec.ysub)
+    )
 
 
 def get_family(name: str) -> FamilySpec:

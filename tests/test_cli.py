@@ -161,6 +161,61 @@ def test_family_missing_p(capsys):
     assert code == EXIT_USAGE
 
 
+# F(21000) has 4389 decimal digits, past CPython's default limit of 4300 on
+# converting ints to and from decimal text; main lifts it while it runs.
+
+BIG_N = 21000
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def parse_decimal(text):
+    """int(text) for text of any length, in chunks under the digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def run_big_family(capsys, *fmt):
+    before = digit_limit()
+    code, out, _ = run(capsys, "family", "--name", "fibonacci-numbers", "--n", str(BIG_N), *fmt)
+    assert code == EXIT_OK
+    assert digit_limit() == before  # restored after main returns
+    return out.strip()
+
+
+def test_family_past_the_int_digit_limit_text(capsys):
+    out = run_big_family(capsys)
+    assert len(out) > 4300
+    assert parse_decimal(out) == fibonacci(BIG_N)
+
+
+def test_family_past_the_int_digit_limit_json(capsys):
+    record = json.loads(run_big_family(capsys, "--format", "json"))
+    [term] = record["poly"]
+    assert (term["xexp"], term["yexp"], term["im"]) == (0, 0, "0")
+    assert parse_decimal(term["re"]) == fibonacci(BIG_N)
+
+
+def test_json_round_trip_past_the_int_digit_limit(capsys):
+    record = json.loads(run_big_family(capsys, "--format", "json"))
+    before = digit_limit()
+    poly = poly_from_terms_json(record["poly"])
+    assert digit_limit() == before
+    assert poly == BivarPoly.constant(fibonacci(BIG_N))
+
+
 # --- check --------------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Determinant/permanent recursions against brute-force oracles."""
 
+import contextlib
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -14,7 +16,9 @@ from fibhess.evaluators import (
     per_oracle,
 )
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
+from fibhess import ring
 from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt
+from fibhess.sequences import f_poly
 
 BUILDERS = [build_w, build_m, build_h, build_k]
 
@@ -247,3 +251,147 @@ def test_minor_zero_read_by_the_last_row(n):
     a = HessenbergMatrix(rows)
     assert det_hessenberg(a) == det_oracle(a)
     assert per_hessenberg(a) == per_oracle(a)
+
+
+# --- graded kernel and its fallback ---------------------------------------
+#
+# A matrix whose every term x^a y^b of entry (i, j) has weight
+# a + w*b = i - j + 1, for one y-weight w >= 1, runs on the ring's graded
+# kernel; any other matrix runs on BivarPoly.  Both must be exact.
+
+
+def random_gaussian(rng):
+    return GaussianInt(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def random_graded_matrix(rng, n, w):
+    """Entries of weight i - j + 1 with Gaussian coefficients: scalars on
+    the superdiagonal, and every x^(d - w*b) y^b of weight d below it."""
+    rows = []
+    for i in range(n):
+        row = [ZERO] * n
+        if i + 1 < n:
+            row[i + 1] = BivarPoly.constant(random_gaussian(rng))
+        for j in range(i + 1):
+            if j == i or rng.random() < 0.5:
+                d = i - j + 1
+                row[j] = P({(d - w * b, b): random_gaussian(rng) for b in range(d // w + 1)})
+        rows.append(row)
+    return HessenbergMatrix(rows)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_graded_matrices_match_oracles(w):
+    rng = random.Random(29 + w)
+    for _ in range(15):
+        a = random_graded_matrix(rng, rng.randint(1, 7), w)
+        assert a._y_weight is not None
+        assert det_hessenberg(a) == det_oracle(a)
+        assert per_hessenberg(a) == per_oracle(a)
+
+
+def test_graded_without_y_matches_oracles():
+    # no entry holds y, so any weight fits: x^(i-j+1) times a constant
+    rng = random.Random(31)
+    n = 6
+    rows = [
+        [P({(i - j + 1, 0): random_gaussian(rng)}) if j <= i + 1 else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    a = HessenbergMatrix(rows)
+    assert a._y_weight is not None
+    assert det_hessenberg(a) == det_oracle(a)
+    assert per_hessenberg(a) == per_oracle(a)
+
+
+def x_plus_one_diagonal(p, n):
+    rows = [list(row) for row in build_w(p, n).rows()]
+    for i in range(n):
+        rows[i][i] = X + ONE
+    return HessenbergMatrix(rows, band=p)
+
+
+def y_squared_at_offset_two(p, n):
+    # y^2 in entries of weight 3 would need y of weight 3/2
+    rows = [list(row) for row in build_k(p, n).rows()]
+    for i in range(2, n):
+        rows[i][i - 2] = Y * Y.scale(p)
+    return HessenbergMatrix(rows)
+
+
+def row_times(a, i, f):
+    """a with every entry of row i multiplied by the polynomial f."""
+    rows = [list(row) for row in a.rows()]
+    rows[i] = [e * f for e in rows[i]]
+    return HessenbergMatrix(rows, band=a.band)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p, n: row_times(build_w(p, n), n // 2, X),
+        lambda p, n: row_times(build_h(p, n), 0, X + Y),
+        x_plus_one_diagonal,
+        y_squared_at_offset_two,
+    ],
+    ids=["row-times-x", "row-times-x-plus-y", "x-plus-one-diagonal", "no-integer-weight"],
+)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ungraded_matrices_match_oracles(make, p):
+    for n in range(3, 8):
+        a = make(p, n)
+        assert a._y_weight is None
+        assert det_hessenberg(a) == det_oracle(a)
+        assert per_hessenberg(a) == per_oracle(a)
+
+
+def test_random_general_matrices_are_mostly_ungraded():
+    # the general-matrix oracle test above covers the BivarPoly fallback
+    rng = random.Random(19)
+    graded = [random_general_matrix(rng, rng.randint(3, 7))._y_weight for _ in range(40)]
+    assert graded.count(None) >= 35
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_grading_never_reads_band(builder, p):
+    for n in (1, 2, p + 1, p + 2, 12):
+        a = builder(p, n)
+        bare = HessenbergMatrix(a.rows())
+        assert bare.band is None and a._y_weight is not None
+        assert bare._y_weight == a._y_weight == (p + 1 if n > p else 1)
+        assert det_hessenberg(bare) == det_hessenberg(a)
+        assert per_hessenberg(bare) == per_hessenberg(a)
+
+
+@contextlib.contextmanager
+def bivarpoly_products(calls):
+    """Append to ``calls`` each call of the BivarPoly product kernel."""
+    products = (ring.sum_of_products.__code__, BivarPoly.__mul__.__code__)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in products:
+            calls.append(frame.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(old)
+
+
+def test_graded_routes_make_no_bivarpoly_product():
+    # the graded kernel works on int lists; BivarPoly appears only when the
+    # matrix is built and when the result is handed back
+    w = build_w(2, 60)
+    calls = []
+    with bivarpoly_products(calls):
+        values = det_hessenberg(w), f_poly(2, 61)
+    assert calls == []
+    assert values[0] == values[1]
+    # the same counter sees the BivarPoly kernel of a matrix that is not graded
+    a = x_plus_one_diagonal(2, 5)
+    with bivarpoly_products(calls):
+        det_hessenberg(a)
+    assert calls

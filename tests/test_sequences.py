@@ -334,3 +334,11 @@ def test_family_matches_closed_form(name):
 def test_fib_p_number_matches_closed_form(p):
     for n in range(1, 60):
         assert {(0, 0): fib_p_number(p, n)} == closed_form(p, n, (1, 0, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_every_route_matches_closed_form_at_large_n(p):
+    n = 2001
+    expected = closed_form(p, n)
+    for name in ("recurrence", "det-w", "det-m", "per-h", "per-k"):
+        assert plain_terms(sequences.ROUTES[name](p, n)) == expected, name
