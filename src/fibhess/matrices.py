@@ -106,7 +106,8 @@ class HessenbergMatrix:
         return tuple(tuple(r.get(j, ZERO) for j in range(self._n)) for r in self._rows)
 
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
-        """Copy with every entry of 0-based row i multiplied by c."""
+        """Copy with every entry of 0-based row i multiplied by the scalar
+        c, an int or a ``GaussianInt``."""
         if not 0 <= i < self._n:
             raise IndexError(f"row {i} outside a matrix of order {self._n}")
         rows = list(self._rows)

@@ -16,17 +16,18 @@ scratch term map and drops the zeros once at the end.  ``a * b`` is its
 one-pair case, and a recursion step such as x*G(n-1) + y*G(n-p-1) is one
 call, so the step builds no intermediate product polynomials.
 
-The recursions of ``sequences`` and ``evaluators`` are written once over a
-small ring interface (zero, one, unit, factor, scalar, times, scaled,
-sum_of_products, poly) with two implementations.  ``PolyKernel`` runs on
-``BivarPoly`` itself.  ``GradedKernel`` runs on weighted-homogeneous
-values, where x has weight 1 and y weight w: G(p, n) and every leading
-minor of the W/M/H/K matrices are such values for w = p + 1.  A graded
-value of degree d is fixed by its coefficient of x^(d - w*j) y^j for each
-y-degree j, so it is a dense list of plain ints indexed by j (and a second
-list for the imaginary parts, when there are any): no exponent is stored
-or hashed, multiplying by x is free, and multiplying by y shifts the list.
-``GradedKernel.poly`` turns a graded value back into a ``BivarPoly``.
+The Hessenberg recursion of ``evaluators`` is written once over a small
+ring interface (one, unit, factor, scalar, times, scaled, sum_of_products,
+poly) with two implementations: ``PolyKernel`` on ``BivarPoly`` itself,
+and ``GradedKernel`` on weighted-homogeneous values, where x has weight 1
+and y weight w.  G(p, n), with a family's constants folded into its
+coefficients, and every leading minor of the W/M/H/K matrices are such
+values for w = p + 1.  A graded value of degree d is fixed by its
+coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
+of plain ints indexed by j (and a second list for the imaginary parts,
+when there are any): no exponent is stored or hashed, multiplying by x is
+free, and multiplying by y shifts the list.  ``GradedKernel.poly`` is the
+one way back to a ``BivarPoly``.
 """
 
 from __future__ import annotations
@@ -323,7 +324,6 @@ class PolyKernel:
     over both kernels: a value, a factor and a scalar are all ``BivarPoly``,
     so every conversion is the identity and every product is ``*``."""
 
-    zero = ZERO
     one = unit = ONE
 
     @staticmethod
@@ -433,14 +433,30 @@ class GradedKernel:
         im.extend(repeat(0, size - len(im)))
         return re, im
 
-    def poly(self, value, degree: int) -> BivarPoly:
-        """The ``BivarPoly`` of a graded value of the given degree."""
+    @staticmethod
+    def seed(e: BivarPoly, var: str) -> tuple[int, int, int]:
+        """``(k, re, im)`` for a ``BivarPoly`` c * var^k, where ``var`` is
+        "x" or "y", k is 0 or 1 and c = re + im*i; the zero polynomial is the
+        constant 0.  Read from the term map; ValueError for any other
+        polynomial."""
+        var_mono = (1, 0) if var == "x" else (0, 1)
+        monos = {(xe, ye) for xe, ye, _ in e._terms}
+        if len(monos) > 1 or not monos <= {(0, 0), var_mono}:
+            raise ValueError(f"expected c or c*{var} for a Gaussian integer c, got {e}")
+        mono = monos.pop() if monos else (0, 0)
+        get = e._terms.get
+        return int(mono == var_mono), get((*mono, 0), 0), get((*mono, 1), 0)
+
+    def poly(self, value, degree: int, xe: int = 1, ye: int = 1) -> BivarPoly:
+        """The ``BivarPoly`` of a graded value of the given degree, its term
+        j read as x^(xe*(degree - w*j)) * y^(ye*j).  ``xe`` or ``ye`` is 0
+        when a constant took the place of that variable."""
         w = self.w
         terms = {}
         for ie, part in enumerate(value):
             for j, c in enumerate(part or ()):
                 if c:
-                    terms[(degree - w * j, j, ie)] = c
+                    terms[(xe * (degree - w * j), ye * j, ie)] = c
         return _wrap(terms)
 
 

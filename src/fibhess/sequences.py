@@ -9,17 +9,17 @@ brute-force oracles included, to a function of (p, n) that returns
 G(p, n); cross_check runs the five fast routes and compares each with the
 recurrence exactly.
 
-Named specializations substitute fixed polynomials for x and y (and
-optionally shift the index) to recover classical families: Fibonacci,
-Pell, Jacobsthal, and second-kind Chebyshev.  Substitution is a ring
-homomorphism, so a family runs the recurrence on the substituted seeds
-instead of substituting into the bivariate G.
+Named specializations put c or c*x in place of x and c or c*y in place of
+y, for a Gaussian integer c (and optionally shift the index), to recover
+classical families: Fibonacci, Pell, Jacobsthal, and second-kind
+Chebyshev.  Substitution is a ring homomorphism, so a family runs the
+recurrence on the substituted seeds instead of substituting into G.
 
-One recurrence loop serves three rings: ``f_poly`` and ``f_poly_prefix``
-run it on the ring's graded kernel (G(p, k) is weighted-homogeneous of
-degree k - 1 when y has weight p + 1) and convert only their results to
-``BivarPoly``; the families run it on ``BivarPoly``; ``fib_p_number`` runs
-it on plain ints.
+One recurrence loop serves two rings.  ``f_poly``, ``f_poly_prefix`` and
+the families run it on the ring's graded kernel (G(p, k) is
+weighted-homogeneous of degree k - 1 when y has weight p + 1; a family
+folds its c into the graded x and y) and convert only their results to
+``BivarPoly``; ``fib_p_number`` runs it on plain ints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator
 
 from .evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from .matrices import build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, GradedKernel, PolyKernel
+from .ring import ONE, X, Y, BivarPoly, GradedKernel
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -45,7 +45,7 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
 def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> Iterator:
     """Yield terms 0..n of the recurrence G(k) = step(G(k-1), G(k-p-1)),
     with G(1) = ``one`` and G(k) = ``zero`` for k <= 0, in the ring of
-    ``zero`` and ``one`` (``BivarPoly``, or int for fib_p_number).  Terms
+    ``zero`` and ``one`` (graded values, or int for fib_p_number).  Terms
     2..p+1 need no branch of their own: their G(k-p-1) is zero.  The
     arguments are not checked.  Only the last p+1 terms are held, so taking
     just the n-th keeps memory O(p) terms."""
@@ -56,21 +56,13 @@ def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> I
         yield window[-1]
 
 
-def _ring_recurrence(p: int, n: int, ring, x, y) -> Iterator:
-    """Terms 0..n of G in a kernel of the ring (``PolyKernel`` or a
-    ``GradedKernel``), with its factors ``x`` and ``y`` in place of the two
-    variables; each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate."""
-    step = ring.sum_of_products
-    return _recurrence(
-        p, n, lambda last, back: step(((x, last), (y, back))), ring.zero, ring.one
-    )
-
-
-def _graded_terms(p: int, n: int) -> tuple[Iterator, GradedKernel]:
-    """Terms 0..n of G on the graded kernel, where y has weight p + 1 and
-    G(k) has degree k - 1, with that kernel to convert them."""
-    ring = GradedKernel(p + 1)
-    return _ring_recurrence(p, n, ring, ring.factor(X), ring.factor(Y)), ring
+def _graded_terms(p: int, n: int, x=((0, 1, 0),), y=((1, 1, 0),)) -> Iterator:
+    """Terms 0..n of G on the graded kernel, with the graded factors ``x``
+    and ``y`` in place of the two variables; each step x*G(k-1) + y*G(k-p-1)
+    is one multiply-accumulate.  With the default x and y, y has weight
+    p + 1 and G(k) has degree k - 1."""
+    step, zero, one = GradedKernel.sum_of_products, GradedKernel.zero, GradedKernel.one
+    return _recurrence(p, n, lambda last, back: step(((x, last), (y, back))), zero, one)
 
 
 def _last(terms: Iterator):
@@ -80,15 +72,14 @@ def _last(terms: Iterator):
 def f_poly(p: int, n: int) -> BivarPoly:
     """n-th term of the coefficiented recurrence for parameter p."""
     _check_args(p, n)
-    terms, ring = _graded_terms(p, n)
-    return ring.poly(_last(terms), n - 1)
+    return GradedKernel(p + 1).poly(_last(_graded_terms(p, n)), n - 1)
 
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
     """Terms 0..n as a list."""
     _check_args(p, n)
-    terms, ring = _graded_terms(p, n)
-    return [ring.poly(g, k - 1) for k, g in enumerate(terms)]
+    ring = GradedKernel(p + 1)
+    return [ring.poly(g, k - 1) for k, g in enumerate(_graded_terms(p, n))]
 
 
 def fib_p_number(p: int, n: int) -> int:
@@ -102,13 +93,21 @@ def fib_p_number(p: int, n: int) -> int:
 class FamilySpec:
     """A named specialization: substitutions for x and y, a fixed p or
     None for p-parameterized rows, and an index shift so that
-    family(n) = substitute(G(p, n + index_offset))."""
+    family(n) = substitute(G(p, n + index_offset)).
+
+    ``xsub`` must be c or c*x, and ``ysub`` c or c*y, for a Gaussian
+    integer c (zero included); any other seed raises ValueError when the
+    spec is made."""
 
     name: str
     xsub: BivarPoly
     ysub: BivarPoly
     p: int | None
     index_offset: int = 0
+
+    def __post_init__(self) -> None:
+        GradedKernel.seed(self.xsub, "x")
+        GradedKernel.seed(self.ysub, "y")
 
 
 _TWO_X = X.scale(2)
@@ -148,9 +147,13 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     else:
         raise ValueError(f"family {spec.name!r} needs an explicit p")
     _check_args(eff_p, n)
-    return _last(
-        _ring_recurrence(eff_p, n + spec.index_offset, PolyKernel, spec.xsub, spec.ysub)
-    )
+    m = n + spec.index_offset
+    xe, *cx = GradedKernel.seed(spec.xsub, "x")
+    ye, *cy = GradedKernel.seed(spec.ysub, "y")
+    # the y seed shifts a value's list as y does, unless both seeds are
+    # constants: then every value is a single coefficient
+    terms = _graded_terms(eff_p, m, ((0, *cx),), ((xe | ye, *cy),))
+    return GradedKernel(eff_p + 1).poly(_last(terms), m - 1, xe, ye)
 
 
 def get_family(name: str) -> FamilySpec:

@@ -18,7 +18,7 @@ from fibhess.evaluators import (
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from fibhess import ring
 from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt
-from fibhess.sequences import f_poly
+from fibhess.sequences import f_poly, family_value, get_family
 
 BUILDERS = [build_w, build_m, build_h, build_k]
 
@@ -385,9 +385,11 @@ def test_graded_routes_make_no_bivarpoly_product():
     # the graded kernel works on int lists; BivarPoly appears only when the
     # matrix is built and when the result is handed back
     w = build_w(2, 60)
+    pell, chebyshev = get_family("pell-bivariate-p"), get_family("chebyshev-U")
     calls = []
     with bivarpoly_products(calls):
         values = det_hessenberg(w), f_poly(2, 61)
+        family_value(pell, 40, p=2), family_value(chebyshev, 40)
     assert calls == []
     assert values[0] == values[1]
     # the same counter sees the BivarPoly kernel of a matrix that is not graded

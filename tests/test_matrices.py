@@ -191,6 +191,13 @@ def test_scale_row_outside_the_matrix_raises(i):
         build_k(1, 3).scale_row(i, 2)
 
 
+def test_scale_row_takes_a_scalar_not_a_polynomial():
+    i = GaussianInt(0, 1)
+    assert build_w(2, 5).scale_row(2, i).rows()[2][2] == X.scale(i)
+    with pytest.raises(TypeError):
+        build_w(2, 5).scale_row(2, X)
+
+
 def test_scale_row_by_zero_drops_the_row():
     a = build_m(1, 3).scale_row(1, 0)
     assert a.rows()[1] == (ZERO, ZERO, ZERO)

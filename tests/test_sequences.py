@@ -1,14 +1,16 @@
 """Sequence recurrence, integer shadow, specializations, cross-check."""
 
 import math
+import tracemalloc
 
 import pytest
 
 import fibhess.sequences as sequences
 from fibhess.matrices import build_w
-from fibhess.ring import ONE, X, Y, BivarPoly, ZERO
+from fibhess.ring import ONE, X, Y, BivarPoly, GaussianInt, ZERO
 from fibhess.sequences import (
     FAMILIES,
+    FamilySpec,
     cross_check,
     f_poly,
     f_poly_prefix,
@@ -208,6 +210,57 @@ def test_p_parameterized_families(p):
             assert vals[n] == fam.xsub * vals[n - 1] + fam.ysub * vals[n - p - 1]
 
 
+I = BivarPoly.constant(GaussianInt(0, 1))
+SEEDS = {
+    "c*x": (X.scale(3), Y),
+    "gaussian c for x": (BivarPoly.constant(GaussianInt(2, -1)), Y),
+    "c*y": (X, Y.scale(-2)),
+    "i*y": (X, I * Y),
+    "gaussian c*x, c for y": (X.scale(GaussianInt(1, 1)), BivarPoly.constant(5)),
+    "c, i*y": (BivarPoly.constant(3), I * Y),
+    "two gaussian constants": (BivarPoly.constant(GaussianInt(1, 2)), -I),
+    "zero x": (ZERO, Y),
+    "zero y": (X.scale(2), ZERO),
+    "zero x, constant y": (ZERO, BivarPoly.constant(7)),
+}
+
+
+@pytest.mark.parametrize("case", SEEDS)
+@pytest.mark.parametrize("p", [1, 2])
+def test_spec_seeds_match_their_recurrence(case, p):
+    xsub, ysub = SEEDS[case]
+    fam = FamilySpec(case, xsub, ysub, None)
+    # G(k) = xsub^(k-1) for 1 <= k <= p + 1, then xsub*G(k-1) + ysub*G(k-p-1)
+    expected = seq_from_recurrence(
+        [ZERO] + [xsub**k for k in range(p + 1)],
+        lambda v: xsub * v[-1] + ysub * v[-p - 1],
+        14,
+    )
+    assert [family_value(fam, n, p=p) for n in range(14)] == expected
+
+
+def test_imaginary_y_seed():
+    fam = FamilySpec("i*y", X, I * Y, 1)
+    assert family_value(fam, 6) == P({(5, 0): 1, (3, 1): GaussianInt(0, 4), (1, 2): -3})
+
+
+BAD_SEEDS = {
+    "x + 1 for x": (X + ONE, Y),
+    "x for y": (X, X),
+    "y for x": (Y, Y),
+    "x^2 for x": (X**2, Y),
+    "x*y for x": (X * Y, Y),
+    "y + 1 for y": (X, Y + ONE),
+    "y^2 for y": (X, Y**2),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SEEDS)
+def test_spec_rejects_other_seeds(case):
+    with pytest.raises(ValueError):
+        FamilySpec("bad", *BAD_SEEDS[case], 1)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_fibonacci_p_numbers_family(p):
     fam = get_family("fibonacci-p-numbers")
@@ -324,10 +377,23 @@ def test_f_poly_matches_closed_form(p):
 def test_family_matches_closed_form(name):
     fam = get_family(name)
     subs = as_monomial(fam.xsub), as_monomial(fam.ysub)
-    for p in [fam.p] if fam.p is not None else range(1, 6):
-        for n in range(60 - fam.index_offset):
-            got = plain_terms(family_value(fam, n, p=p))
-            assert got == closed_form(p, n + fam.index_offset, *subs), (p, n)
+    ps = [fam.p] if fam.p is not None else range(1, 6)
+    cases = [(p, n) for p in ps for n in range(60 - fam.index_offset)]
+    for p, n in cases + [(fam.p or 2, 1001)]:
+        got = plain_terms(family_value(fam, n, p=p))
+        assert got == closed_form(p, n + fam.index_offset, *subs), (p, n)
+
+
+def test_constant_family_keeps_one_coefficient_per_term():
+    # the number families run on single coefficients, not one per y-degree
+    fam = get_family("jacobsthal-numbers")
+    tracemalloc.start()
+    try:
+        family_value(fam, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
