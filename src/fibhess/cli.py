@@ -16,10 +16,9 @@ exception is a bug and surfaces with its traceback.  When stdout is a pipe
 that the reader closes early, the process ends by SIGPIPE, as cat does.
 
 JSON coefficients are decimal strings: they outgrow 64-bit integers
-quickly as n increases.  ``main`` and ``poly_from_terms_json`` lift
-CPython's limit on converting huge ints to and from decimal text (4300
-digits by default; G(1, n) passes it near n = 20600) and restore it
-afterwards.
+quickly as n increases.  ``main`` lifts CPython's limit on converting huge
+ints to and from decimal text (4300 digits by default; G(1, n) passes it
+near n = 20600) and restores it afterwards.
 """
 
 from __future__ import annotations
@@ -79,19 +78,6 @@ def poly_terms_json(poly: BivarPoly) -> list[dict[str, object]]:
     ]
 
 
-def poly_from_terms_json(terms: list[dict]) -> BivarPoly:
-    """Rebuild a polynomial from the JSON term-list encoding."""
-    from .ring import GaussianInt
-
-    with _unlimited_int_digits():
-        return BivarPoly(
-            {
-                (int(t["xexp"]), int(t["yexp"])): GaussianInt(int(t["re"]), int(t["im"]))
-                for t in terms
-            }
-        )
-
-
 def _emit_poly(poly: BivarPoly, fmt: str, record: dict[str, object]) -> None:
     if fmt == "json":
         record["poly"] = poly_terms_json(poly)
@@ -116,10 +102,10 @@ def _cmd_family(args) -> int:
         spec = get_family(args.name)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
-    if spec.p is None:
-        if args.p is None:
-            raise UsageError(f"family {spec.name!r} needs --p")
+    if args.p is not None:
         _require_at_least("--p", args.p, 1)
+    elif spec.p is None:
+        raise UsageError(f"family {spec.name!r} needs --p")
     _require_at_least("--n", args.n, 0)
     poly = family_value(spec, args.n, p=args.p)
     _emit_poly(

@@ -20,12 +20,12 @@ weight i - j + 1, with y of weight w; all four families are, with
 w = p + 1) runs on ``GradedKernel``: its superdiagonal entries are then
 Gaussian scalars, so the carried product is a pair of ints, and its minors
 are dense coefficient lists.  Any other matrix runs on ``PolyKernel``, on
-``BivarPoly`` itself.  Neither reads the ``band`` hint.
+``BivarPoly`` itself.
 
 A minor is dropped after the last row that reads it: minor c is read by
 row c and by every row with a nonzero in column c.  A matrix with one
 sub-diagonal band at offset p therefore holds p + 2 minors at a time, not
-n + 1, and memory is O(band * terms) instead of O(n * terms).
+n + 1, and memory is O(p * terms) instead of O(n * terms).
 
 The brute-force oracles (first-row Laplace expansion, permutation sum)
 ignore the Hessenberg structure entirely and exist to cross-check the

@@ -28,9 +28,7 @@ class HessenbergMatrix:
     """Immutable square lower-Hessenberg matrix over BivarPoly.
 
     Stored by its nonzeros, one ``{col: entry}`` map per row; ``rows()``
-    and ``str()`` build the dense view on demand.  ``band``, when given,
-    records that the only nonzero sub-diagonal band sits at offset ``band``
-    below the main diagonal; it is validated, and no evaluator reads it.
+    and ``str()`` build the dense view on demand.
 
     The same pass over the entries finds the matrix's grading, if it has
     one: a y-weight w >= 1 under which every term x^a y^b of entry (i, j)
@@ -39,21 +37,21 @@ class HessenbergMatrix:
     kernel.  ``_y_weight`` holds w, or None for a matrix that is not graded.
     """
 
-    __slots__ = ("_rows", "_n", "_band", "_y_weight")
+    __slots__ = ("_rows", "_n", "_y_weight")
 
-    def __init__(self, entries, band: int | None = None):
+    def __init__(self, entries):
         rows = [dict(enumerate(row)) for row in entries]
         if any(len(row) != len(rows) for row in rows):
             raise ShapeError("matrix must be square")
-        self._init(rows, band)
+        self._init(rows)
 
     @classmethod
-    def _from_nonzeros(cls, rows: list[dict], band: int | None) -> "HessenbergMatrix":
+    def _from_nonzeros(cls, rows: list[dict]) -> "HessenbergMatrix":
         a = cls.__new__(cls)
-        a._init(rows, band)
+        a._init(rows)
         return a
 
-    def _init(self, rows: list[dict], band: int | None) -> None:
+    def _init(self, rows: list[dict]) -> None:
         n = len(rows)
         if n == 0:
             raise ShapeError("matrix order must be at least 1")
@@ -70,26 +68,15 @@ class HessenbergMatrix:
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
-                if band is not None and i > j and i - j != band:
-                    raise ShapeError(
-                        f"entry ({i + 1},{j + 1}) off the recorded band {band} is nonzero"
-                    )
                 if w is not None:
                     w = GradedKernel.weigh(e, i - j + 1, w)
-        if band is not None and band < 0:
-            raise ValueError("band offset must be nonnegative")
         self._rows = tuple({j: e for j, e in r.items() if not e.is_zero()} for r in rows)
         self._n = n
-        self._band = band
         self._y_weight = None if w is None else w or 1
 
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def band(self) -> int | None:
-        return self._band
 
     def __getitem__(self, ij: tuple[int, int]) -> BivarPoly:
         """Entry at 0-based (row, col)."""
@@ -112,7 +99,7 @@ class HessenbergMatrix:
             raise IndexError(f"row {i} outside a matrix of order {self._n}")
         rows = list(self._rows)
         rows[i] = {j: e.scale(c) for j, e in rows[i].items()}
-        return HessenbergMatrix._from_nonzeros(rows, self._band)
+        return HessenbergMatrix._from_nonzeros(rows)
 
     def __str__(self) -> str:
         return "\n".join(
@@ -133,7 +120,7 @@ def _build_banded(p: int, n: int, superdiag: BivarPoly, band_entry: BivarPoly) -
         if i - p >= 0:
             row[i - p] = band_entry
         rows.append(row)
-    return HessenbergMatrix._from_nonzeros(rows, band=p)
+    return HessenbergMatrix._from_nonzeros(rows)
 
 
 def build_w(p: int, n: int) -> HessenbergMatrix:

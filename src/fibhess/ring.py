@@ -426,11 +426,8 @@ class GradedKernel:
                     if cr:
                         im = _add_scaled(im, j, cr, vi)
         re = re or []
-        if im is None or not any(im):
-            return re, None
-        size = max(len(re), len(im))  # the two parts share one length
-        re.extend(repeat(0, size - len(re)))
-        im.extend(repeat(0, size - len(im)))
+        if im is not None and not any(im):
+            im = None
         return re, im
 
     @staticmethod

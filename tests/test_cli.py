@@ -16,10 +16,9 @@ from fibhess.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
-    poly_from_terms_json,
 )
 from fibhess.matrices import build_m
-from fibhess.ring import X, Y, BivarPoly
+from fibhess.ring import X, Y, BivarPoly, GaussianInt
 from fibhess.sequences import f_poly
 
 
@@ -27,6 +26,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def poly_from_terms_json(terms):
+    """Rebuild a polynomial from the CLI's JSON term list, with the int <->
+    str digit limit lifted while it reads; a repeated monomial is an error."""
+    with cli._unlimited_int_digits():
+        coeffs = {
+            (int(t["xexp"]), int(t["yexp"])): GaussianInt(int(t["re"]), int(t["im"]))
+            for t in terms
+        }
+    if len(coeffs) != len(terms):
+        raise ValueError("JSON term list repeats a monomial")
+    return BivarPoly(coeffs)
 
 
 # --- gen -----------------------------------------------------------------
@@ -294,6 +306,7 @@ def test_check_usage(capsys):
         ["gen", "--p", "0", "--n", "3", "--method", "per-k"],
         ["gen", "--p", "2", "--n", "0", "--method", "oracle-det-w"],
         ["family", "--name", "pell-p-poly", "--n", "3", "--p", "0"],
+        ["family", "--name", "pell-numbers", "--n", "5", "--p", "0"],
         ["family", "--name", "chebyshev-U", "--n", "-1"],
         ["matrix", "--kind", "k", "--p", "1", "--order", "0"],
         ["check", "--p-max", "2", "--n-max", "0"],
