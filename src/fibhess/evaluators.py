@@ -11,8 +11,8 @@ nearest the diagonal first, carrying the superdiagonal product along: a
 banded matrix costs O(n) large multiplications, a dense one O(n^2).  For
 det each superdiagonal entry is negated once up front, so the product of
 the i - r entries from column r carries the sign (-1)^(i-r).  Each row's
-(coefficient, minor) pairs go to the kernel's ``sum_of_products`` in one
-call, so a row builds one new value.
+(entry, superdiagonal product, minor) triples go to the kernel's
+``sum_of_products`` in one call, so a row builds one new value.
 
 The loop is written once over the ring's kernel interface.  A matrix that
 the matrix itself found graded (every entry (i, j) weighted-homogeneous of
@@ -60,10 +60,7 @@ class EvalBudget:
 def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
     n = a.n
     ring = PolyKernel if a._y_weight is None else GradedKernel(a._y_weight)
-    factor, times, scaled, sum_of_products = (
-        ring.factor, ring.times, ring.scaled, ring.sum_of_products
-    )
-    below = [[(c, factor(e)) for c, e in a._below_diagonal(i)] for i in range(n)]
+    below = [a._below_diagonal(i) for i in range(n)]
     # superdiag[k] = a[k, k+1], negated for det: a product of i - c of them
     # then carries the sign (-1)^(i-c)
     superdiag = [ring.scalar(a[k, k + 1], signed) for k in range(n - 1)]
@@ -75,14 +72,14 @@ def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
             last_read[c] = i
     minors = {0: ring.one}  # minors[k] = det/per of the leading k x k block
     for i in range(n):
-        pairs = [(factor(a[i, i]), minors[i])]
+        triples = [(a[i, i], ring.unit, minors[i])]
         prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
         for c, entry in below[i]:
             while k > c:
                 k -= 1
-                prod = times(prod, superdiag[k])
-            pairs.append((scaled(entry, prod), minors[c]))
-        minors[i + 1] = sum_of_products(pairs)
+                prod = ring.times(prod, superdiag[k])
+            triples.append((entry, prod, minors[c]))
+        minors[i + 1] = ring.sum_of_products(triples)
         for c in [c for c in minors if last_read[c] == i]:
             del minors[c]
     return ring.poly(minors[n], n)

@@ -17,10 +17,10 @@ one-pair case, and a recursion step such as x*G(n-1) + y*G(n-p-1) is one
 call, so the step builds no intermediate product polynomials.
 
 The Hessenberg recursion of ``evaluators`` is written once over a small
-ring interface (one, unit, factor, scalar, times, scaled, sum_of_products,
-poly) with two implementations: ``PolyKernel`` on ``BivarPoly`` itself,
-and ``GradedKernel`` on weighted-homogeneous values, where x has weight 1
-and y weight w.  G(p, n), with a family's constants folded into its
+ring interface (one, unit, scalar, times, sum_of_products, poly) with two
+implementations: ``PolyKernel`` on ``BivarPoly`` itself, and
+``GradedKernel`` on weighted-homogeneous values, where x has weight 1 and
+y weight w.  G(p, n), with a family's constants folded into its
 coefficients, and every leading minor of the W/M/H/K matrices are such
 values for w = p + 1.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
@@ -65,12 +65,18 @@ class GaussianInt:
     im: int = 0
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
+        if not isinstance(other, GaussianInt):
+            return NotImplemented
         return GaussianInt(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianInt") -> "GaussianInt":
+        if not isinstance(other, GaussianInt):
+            return NotImplemented
         return GaussianInt(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussianInt") -> "GaussianInt":
+        if not isinstance(other, GaussianInt):
+            return NotImplemented
         return GaussianInt(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -81,9 +87,6 @@ class GaussianInt:
 
     def __pow__(self, k: int) -> "GaussianInt":
         return _power(self, k, GI_ONE)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -321,21 +324,21 @@ Y = BivarPoly({(0, 1): 1})
 
 class PolyKernel:
     """The ring interface of ``BivarPoly`` for a recursion written once
-    over both kernels: a value, a factor and a scalar are all ``BivarPoly``,
-    so every conversion is the identity and every product is ``*``."""
+    over both kernels: a value and a scalar are ``BivarPoly`` too, and
+    every product is ``*``."""
 
     one = unit = ONE
-
-    @staticmethod
-    def factor(e: BivarPoly) -> BivarPoly:
-        return e
 
     @staticmethod
     def scalar(e: BivarPoly, negate: bool) -> BivarPoly:
         return -e if negate else e
 
-    times = scaled = staticmethod(mul)
-    sum_of_products = staticmethod(sum_of_products)
+    times = staticmethod(mul)
+
+    @staticmethod
+    def sum_of_products(triples) -> BivarPoly:
+        """f1*s1*v1 + f2*s2*v2 + ... over (factor, scalar, value) triples."""
+        return sum_of_products((f * s, v) for f, s, v in triples)
 
     @staticmethod
     def poly(value: BivarPoly, degree: int) -> BivarPoly:
@@ -350,10 +353,10 @@ class GradedKernel:
     each y-degree j, so it is held as ``(re, im)``: dense lists of the real
     and imaginary parts of those coefficients, with ``im`` None when every
     imaginary part is 0.  No x-exponent is stored; the caller knows each
-    value's degree.  A factor, such as a matrix entry, is sparse instead: a
-    tuple of ``(j, re, im)`` terms.  Multiplying by x is free, multiplying
-    by c*y shifts a list by one and scales it, and a sum of products is a
-    few list adds.  A scalar (weight 0) is a pair ``(re, im)`` of ints.
+    value's degree.  A scalar (weight 0) is a pair ``(re, im)`` of ints.  A
+    factor, such as a matrix entry, stays a graded ``BivarPoly``: its term
+    c*x^a*y^j multiplies a value by c and shifts its lists by j, so a sum of
+    products is a few list adds.
     """
 
     zero = ([], None)
@@ -362,7 +365,6 @@ class GradedKernel:
 
     def __init__(self, w: int):
         self.w = w
-        self._factors: dict[BivarPoly, tuple] = {}  # builders share entries
 
     @staticmethod
     def weigh(e: BivarPoly, degree: int, w: int) -> int | None:
@@ -382,16 +384,6 @@ class GradedKernel:
                     return None
         return w
 
-    def factor(self, e: BivarPoly) -> tuple[tuple[int, int, int], ...]:
-        """A graded ``BivarPoly`` as sparse ``(j, re, im)`` terms."""
-        f = self._factors.get(e)
-        if f is None:
-            parts: dict[int, list[int]] = {}
-            for (_, ye, ie), c in e._terms.items():
-                parts.setdefault(ye, [0, 0])[ie] = c
-            f = self._factors[e] = tuple((j, re, im) for j, (re, im) in parts.items())
-        return f
-
     @staticmethod
     def scalar(e: BivarPoly, negate: bool) -> tuple[int, int]:
         """A constant ``BivarPoly``, or its negative, as ``(re, im)``."""
@@ -404,17 +396,14 @@ class GradedKernel:
         return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0]
 
     @staticmethod
-    def scaled(f, s: tuple[int, int]):
-        """The factor ``f`` times the scalar ``s``."""
-        sr, si = s
-        return tuple((j, r * sr - i * si, r * si + i * sr) for j, r, i in f)
-
-    @staticmethod
-    def sum_of_products(pairs):
-        """f1*v1 + f2*v2 + ... over (factor, value) pairs, as one value."""
+    def sum_of_products(triples):
+        """f1*s1*v1 + f2*s2*v2 + ... over (factor, scalar, value) triples,
+        as one value."""
         re = im = None  # None: all zero, and no list made yet
-        for f, (vr, vi) in pairs:
-            for j, cr, ci in f:
+        for f, (sr, si), (vr, vi) in triples:
+            for (_, j, ie), c in f._terms.items():
+                # cr + ci*i = c*s, or c*i*s for an i-term
+                cr, ci = (-c * si, c * sr) if ie else (c * sr, c * si)
                 # (cr + ci*i)(vr + vi*i) = cr*vr - ci*vi + (cr*vi + ci*vr)*i
                 if cr:
                     re = _add_scaled(re, j, cr, vr)

@@ -56,13 +56,13 @@ def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> I
         yield window[-1]
 
 
-def _graded_terms(p: int, n: int, x=((0, 1, 0),), y=((1, 1, 0),)) -> Iterator:
-    """Terms 0..n of G on the graded kernel, with the graded factors ``x``
-    and ``y`` in place of the two variables; each step x*G(k-1) + y*G(k-p-1)
-    is one multiply-accumulate.  With the default x and y, y has weight
-    p + 1 and G(k) has degree k - 1."""
+def _graded_terms(p: int, n: int, cx=(1, 0), cy=(1, 0), y=Y) -> Iterator:
+    """Terms 0..n of G on the graded kernel, with cx*X in place of x and
+    cy*``y`` in place of y for the Gaussian scalars cx and cy; each step
+    cx*X*G(k-1) + cy*y*G(k-p-1) is one multiply-accumulate.  With y = Y,
+    y has weight p + 1 and G(k) has degree k - 1."""
     step, zero, one = GradedKernel.sum_of_products, GradedKernel.zero, GradedKernel.one
-    return _recurrence(p, n, lambda last, back: step(((x, last), (y, back))), zero, one)
+    return _recurrence(p, n, lambda last, back: step(((X, cx, last), (y, cy, back))), zero, one)
 
 
 def _last(terms: Iterator):
@@ -96,8 +96,8 @@ class FamilySpec:
     family(n) = substitute(G(p, n + index_offset)).
 
     ``xsub`` must be c or c*x, and ``ysub`` c or c*y, for a Gaussian
-    integer c (zero included); any other seed raises ValueError when the
-    spec is made."""
+    integer c (zero included), and ``index_offset`` must be >= 0; anything
+    else raises ValueError when the spec is made."""
 
     name: str
     xsub: BivarPoly
@@ -106,6 +106,8 @@ class FamilySpec:
     index_offset: int = 0
 
     def __post_init__(self) -> None:
+        if self.index_offset < 0:
+            raise ValueError(f"index_offset must be >= 0, got {self.index_offset}")
         GradedKernel.seed(self.xsub, "x")
         GradedKernel.seed(self.ysub, "y")
 
@@ -150,9 +152,9 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     m = n + spec.index_offset
     xe, *cx = GradedKernel.seed(spec.xsub, "x")
     ye, *cy = GradedKernel.seed(spec.ysub, "y")
-    # the y seed shifts a value's list as y does, unless both seeds are
+    # the y factor shifts a value's list as y does, unless both seeds are
     # constants: then every value is a single coefficient
-    terms = _graded_terms(eff_p, m, ((0, *cx),), ((xe | ye, *cy),))
+    terms = _graded_terms(eff_p, m, cx, cy, Y if xe | ye else ONE)
     return GradedKernel(eff_p + 1).poly(_last(terms), m - 1, xe, ye)
 
 

@@ -1,5 +1,7 @@
 """Gaussian integer and bivariate polynomial arithmetic."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +159,13 @@ def test_non_int_gaussian_part_rejected(coeff):
 def test_operators_reject_non_polys(expr):
     with pytest.raises(TypeError):
         eval(expr, {"X": X, "GaussianInt": GaussianInt})
+
+
+@pytest.mark.parametrize("other", [3, 2.0, X], ids=["int", "float", "poly"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_gaussian_operators_reject_other_types(op, other):
+    with pytest.raises(TypeError):
+        op(GaussianInt(1, 2), other)
 
 
 # --- the multiply-accumulate kernel ---------------------------------------

@@ -261,6 +261,12 @@ def test_spec_rejects_other_seeds(case):
         FamilySpec("bad", *BAD_SEEDS[case], 1)
 
 
+@pytest.mark.parametrize("offset", [-1, -2])
+def test_spec_rejects_negative_index_offset(offset):
+    with pytest.raises(ValueError):
+        FamilySpec("bad", X, Y, 1, index_offset=offset)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_fibonacci_p_numbers_family(p):
     fam = get_family("fibonacci-p-numbers")
