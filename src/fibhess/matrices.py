@@ -1,8 +1,8 @@
 """Lower-Hessenberg matrix container and the four banded builders.
 
 All four families share one layout: x on the diagonal, a constant on the
-superdiagonal, and a single y-carrying sub-band at offset p below the
-diagonal.  They differ only in the two constants:
+superdiagonal, and one sub-band b^p * y, for a constant b, at offset p
+below the diagonal.  They differ only in the two constants:
 
     family   superdiagonal   band entry
     W        i               i^p * y
@@ -17,7 +17,7 @@ of them here), so building and storing one costs O(n), not O(n^2).
 
 from __future__ import annotations
 
-from .ring import ONE, X, Y, BivarPoly, GI_I, GradedKernel, ZERO, i_pow
+from .ring import X, Y, BivarPoly, GI_I, GradedKernel, ZERO, check_count
 
 
 class ShapeError(ValueError):
@@ -107,11 +107,10 @@ class HessenbergMatrix:
         )
 
 
-def _build_banded(p: int, n: int, superdiag: BivarPoly, band_entry: BivarPoly) -> HessenbergMatrix:
-    if p < 1:
-        raise ValueError(f"band offset p must be >= 1, got {p}")
-    if n < 1:
-        raise ValueError(f"matrix order n must be >= 1, got {n}")
+def _build_banded(p: int, n: int, superdiag, band) -> HessenbergMatrix:
+    check_count("p", p, 1)
+    check_count("n", n, 1)
+    superdiag, band_entry = BivarPoly.constant(superdiag), Y.scale(band**p)
     rows = []
     for i in range(n):
         row = {i: X}
@@ -125,19 +124,19 @@ def _build_banded(p: int, n: int, superdiag: BivarPoly, band_entry: BivarPoly) -
 
 def build_w(p: int, n: int) -> HessenbergMatrix:
     """W family: superdiagonal i, band entry i^p * y."""
-    return _build_banded(p, n, BivarPoly.constant(GI_I), Y.scale(i_pow(p)))
+    return _build_banded(p, n, GI_I, GI_I)
 
 
 def build_m(p: int, n: int) -> HessenbergMatrix:
     """M family: superdiagonal -1, band entry y."""
-    return _build_banded(p, n, -ONE, Y)
+    return _build_banded(p, n, -1, 1)
 
 
 def build_h(p: int, n: int) -> HessenbergMatrix:
     """H family: superdiagonal -i, band entry i^p * y."""
-    return _build_banded(p, n, BivarPoly.constant(-GI_I), Y.scale(i_pow(p)))
+    return _build_banded(p, n, -GI_I, GI_I)
 
 
 def build_k(p: int, n: int) -> HessenbergMatrix:
     """K family: superdiagonal 1, band entry y."""
-    return _build_banded(p, n, ONE, Y)
+    return _build_banded(p, n, 1, 1)

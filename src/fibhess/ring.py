@@ -25,7 +25,7 @@ coefficients, and every leading minor of the W/M/H/K matrices are such
 values for w = p + 1.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
 of plain ints indexed by j (and a second list for the imaginary parts,
-when there are any): no exponent is stored or hashed, multiplying by x is
+once a step makes one): no exponent is stored or hashed, multiplying by x is
 free, and multiplying by y shifts the list.  ``GradedKernel.poly`` is the
 one way back to a ``BivarPoly``.
 """
@@ -43,10 +43,18 @@ Monomial = tuple[int, int]
 _Term = tuple[int, int, int]
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise TypeError unless ``value`` is an int (a bool is one) and
+    ValueError if it is below ``least``; ``name`` is the argument's name."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _power(base, k: int, one):
     """base**k by square-and-multiply, for k >= 0."""
-    if k < 0:
-        raise ValueError("negative exponent")
+    check_count("exponent", k, 0)
     result = one
     while k:
         if k & 1:
@@ -105,8 +113,7 @@ _I_CYCLE = (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianIn
 
 def i_pow(p: int) -> GaussianInt:
     """i**p for p >= 0; cycles through 1, i, -1, -i with period 4."""
-    if p < 0:
-        raise ValueError("exponent must be nonnegative")
+    check_count("p", p, 0)
     return _I_CYCLE[p % 4]
 
 
@@ -124,25 +131,23 @@ class BivarPoly:
     """Canonical bivariate polynomial in x, y over the Gaussian integers.
 
     The term map never stores a zero coefficient; the zero polynomial has
-    an empty term map.  Instances are immutable and hashable.
+    an empty term map.  Instances are immutable and hashable; the hash is
+    computed from the term map on each call, not cached.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         canonical: dict[_Term, int] = {}
         if terms:
             for (xe, ye), coeff in terms.items():
-                if not (isinstance(xe, int) and isinstance(ye, int)):
-                    raise TypeError(f"exponents must be int, got {(xe, ye)!r}")
-                if xe < 0 or ye < 0:
-                    raise ValueError("exponents must be nonnegative")
+                check_count("x exponent", xe, 0)
+                check_count("y exponent", ye, 0)
                 c = _as_gaussian(coeff)
                 for ie, part in ((0, c.re), (1, c.im)):
                     if part:
                         canonical[(xe, ye, ie)] = part
         self._terms = canonical
-        self._hash = None
 
     # --- constructors -------------------------------------------------
 
@@ -207,6 +212,8 @@ class BivarPoly:
 
     def substitute(self, xsub: "BivarPoly", ysub: "BivarPoly") -> "BivarPoly":
         """Replace x by xsub and y by ysub, fully expanded and canonical."""
+        if not (isinstance(xsub, BivarPoly) and isinstance(ysub, BivarPoly)):
+            raise TypeError("substitute takes two BivarPoly values")
         result = ZERO
         for (xe, ye), c in self.terms():
             result = result + (xsub**xe * ysub**ye).scale(c)
@@ -230,9 +237,7 @@ class BivarPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -312,7 +317,6 @@ def _wrap(terms: dict[_Term, int]) -> BivarPoly:
     # Internal fast path: terms are already canonical.
     p = BivarPoly.__new__(BivarPoly)
     p._terms = terms
-    p._hash = None
     return p
 
 
@@ -351,8 +355,8 @@ class GradedKernel:
 
     A value of degree d is fixed by its coefficient of x^(d - w*j) y^j for
     each y-degree j, so it is held as ``(re, im)``: dense lists of the real
-    and imaginary parts of those coefficients, with ``im`` None when every
-    imaginary part is 0.  No x-exponent is stored; the caller knows each
+    and imaginary parts of those coefficients, with ``im`` None until a step
+    makes an imaginary part.  No x-exponent is stored; the caller knows each
     value's degree.  A scalar (weight 0) is a pair ``(re, im)`` of ints.  A
     factor, such as a matrix entry, stays a graded ``BivarPoly``: its term
     c*x^a*y^j multiplies a value by c and shifts its lists by j, so a sum of
@@ -414,10 +418,7 @@ class GradedKernel:
                         re = _add_scaled(re, j, -ci, vi)
                     if cr:
                         im = _add_scaled(im, j, cr, vi)
-        re = re or []
-        if im is not None and not any(im):
-            im = None
-        return re, im
+        return re or [], im
 
     @staticmethod
     def seed(e: BivarPoly, var: str) -> tuple[int, int, int]:

@@ -32,14 +32,12 @@ from typing import Any, Callable, Iterator
 
 from .evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from .matrices import build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, GradedKernel
+from .ring import ONE, X, Y, BivarPoly, GradedKernel, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if n < n_min:
-        raise ValueError(f"n must be >= {n_min}, got {n}")
+    check_count("p", p, 1)
+    check_count("n", n, n_min)
 
 
 def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> Iterator:
@@ -96,8 +94,9 @@ class FamilySpec:
     family(n) = substitute(G(p, n + index_offset)).
 
     ``xsub`` must be c or c*x, and ``ysub`` c or c*y, for a Gaussian
-    integer c (zero included), and ``index_offset`` must be >= 0; anything
-    else raises ValueError when the spec is made."""
+    integer c (zero included); ``p``, when not None, must be an int >= 1,
+    and ``index_offset`` an int >= 0.  All are checked when the spec is
+    made: a non-int count raises TypeError, anything else ValueError."""
 
     name: str
     xsub: BivarPoly
@@ -106,8 +105,9 @@ class FamilySpec:
     index_offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.index_offset < 0:
-            raise ValueError(f"index_offset must be >= 0, got {self.index_offset}")
+        if self.p is not None:
+            check_count("p", self.p, 1)
+        check_count("index_offset", self.index_offset, 0)
         GradedKernel.seed(self.xsub, "x")
         GradedKernel.seed(self.ysub, "y")
 
@@ -185,9 +185,7 @@ def _on_matrix(evaluate: _Route) -> _Route:
     the empty order-0 matrix has det = per = 1 and needs no matrix object."""
 
     def route(p: int, n: int) -> BivarPoly:
-        if n < 1:
-            raise ValueError(f"matrix routes need n >= 1 (term 0 is 0), got {n}")
-        _check_args(p, n)
+        _check_args(p, n, n_min=1)
         return ONE if n == 1 else evaluate(p, n - 1)
 
     return route

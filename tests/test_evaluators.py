@@ -134,6 +134,15 @@ def test_row_scaling_linearity(c):
         assert per_hessenberg(scaled) == per_hessenberg(a).scale(c)
 
 
+def test_imaginary_parts_that_cancel_leave_the_real_value():
+    # after the second row scaled by i, every minor's imaginary parts are 0
+    i = GaussianInt(0, 1)
+    a = build_w(2, 6)
+    b = a.scale_row(1, i).scale_row(3, i)
+    assert det_hessenberg(b) == -det_hessenberg(a)
+    assert per_hessenberg(b) == -per_hessenberg(a)
+
+
 def test_triangular_case_is_diagonal_product():
     rng = random.Random(11)
     for _ in range(10):

@@ -187,6 +187,25 @@ def test_builder_rejects_bad_args(builder):
         builder(-1, -1)
 
 
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p, n, name", [(2.0, 5, "p"), ("2", 5, "p"), (2, 5.0, "n")])
+def test_builder_rejects_non_int_counts(builder, p, n, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got"):
+        builder(p, n)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builder_error_names_p(builder):
+    # checked before the band entry i^p * y is made
+    with pytest.raises(ValueError, match="^p must be >= 1, got -1$"):
+        builder(-1, 5)
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(ShapeError):
+        HessenbergMatrix([])
+
+
 def test_shape_check_rejects_upper_entries():
     with pytest.raises(ShapeError):
         HessenbergMatrix([[X, ONE, ONE], [ZERO, X, ONE], [ZERO, ZERO, X]])

@@ -168,6 +168,23 @@ def test_gaussian_operators_reject_other_types(op, other):
         op(GaussianInt(1, 2), other)
 
 
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError, match="^x exponent must be >= 0, got -1$"):
+        BivarPoly({(-1, 0): 1})
+
+
+@pytest.mark.parametrize("bad", [1, 2.0, GaussianInt(0, 1)], ids=["int", "float", "gaussian"])
+def test_substitute_rejects_non_polys(bad):
+    for poly_, xsub, ysub in [(X, bad, Y), (X, X, bad), (ZERO, bad, bad)]:
+        with pytest.raises(TypeError):
+            poly_.substitute(xsub, ysub)
+
+
+def test_equality_with_a_non_poly_is_false():
+    assert (X == 1) is False
+    assert X != 1
+
+
 # --- the multiply-accumulate kernel ---------------------------------------
 
 
@@ -225,6 +242,10 @@ def test_render_descending_order():
 def test_render_negative_and_constant():
     p = poly({(2, 0): 4, (0, 0): -1})
     assert str(p) == "4*x^2 - 1"
+
+
+def test_repr_wraps_the_rendering():
+    assert repr(X) == "BivarPoly(x)"
 
 
 def test_render_zero_and_units():

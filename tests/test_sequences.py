@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import fibhess.sequences as sequences
-from fibhess.matrices import build_w
+from fibhess.matrices import HessenbergMatrix, build_w
 from fibhess.ring import ONE, X, Y, BivarPoly, GaussianInt, ZERO
 from fibhess.sequences import (
     FAMILIES,
@@ -267,6 +267,18 @@ def test_spec_rejects_negative_index_offset(offset):
         FamilySpec("bad", X, Y, 1, index_offset=offset)
 
 
+@pytest.mark.parametrize("offset", [1.5, "1"])
+def test_spec_rejects_non_int_index_offset(offset):
+    with pytest.raises(TypeError, match="^index_offset must be an int, got"):
+        FamilySpec("bad", X, Y, 1, index_offset=offset)
+
+
+@pytest.mark.parametrize("p, error", [(0, ValueError), (-1, ValueError), (1.5, TypeError)])
+def test_spec_rejects_bad_p(p, error):
+    with pytest.raises(error, match="^p must be"):
+        FamilySpec("bad", X, Y, p)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_fibonacci_p_numbers_family(p):
     fam = get_family("fibonacci-p-numbers")
@@ -327,6 +339,28 @@ def test_cross_check_rejects_bad_args():
         cross_check(1, 0)
     with pytest.raises(ValueError):
         cross_check(0, 1)
+
+
+_COUNTED = {
+    "f_poly": f_poly,
+    "f_poly_prefix": f_poly_prefix,
+    "fib_p_number": fib_p_number,
+    "family_value": lambda p, n: family_value(get_family("fibonacci-p-poly"), n, p=p),
+    "cross_check": cross_check,
+    **{f"route-{name}": route for name, route in sequences.ROUTES.items()},
+}
+
+
+@pytest.mark.parametrize("call", _COUNTED.values(), ids=_COUNTED)
+@pytest.mark.parametrize("p, n, name", [(2.0, 5, "p"), (2, 5.0, "n")])
+def test_non_int_count_is_rejected_before_any_work(monkeypatch, call, p, n, name):
+    def work(*args):
+        raise AssertionError("work started before the count was checked")
+
+    monkeypatch.setattr(sequences, "_recurrence", work)
+    monkeypatch.setattr(HessenbergMatrix, "_from_nonzeros", work)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got"):
+        call(p, n)
 
 
 def test_cross_check_names_corrupted_route(monkeypatch):
