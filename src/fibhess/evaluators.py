@@ -14,12 +14,14 @@ the i - r entries from column r carries the sign (-1)^(i-r).  Each row's
 (entry, superdiagonal product, minor) triples go to the kernel's
 ``sum_of_products`` in one call, so a row builds one new value.
 
-The loop is written once over the ring's kernel interface.  A matrix that
-the matrix itself found graded (every entry (i, j) weighted-homogeneous of
-weight i - j + 1, with y of weight w; all four families are, with
-w = p + 1) runs on ``GradedKernel``: its superdiagonal entries are then
-Gaussian scalars, so the carried product is a pair of ints, and its minors
-are dense coefficient lists.  Any other matrix runs on ``PolyKernel``, on
+The loop is written once over the ring's kernel interface, and the same
+read of the matrix's nonzeros that lists each row's entries picks the
+kernel: ``ring.kernel_for`` gets each entry (i, j) with its degree
+i - j + 1.  A graded matrix (every entry weighted-homogeneous of that
+degree, with y of weight w; all four families are, with w = p + 1) runs on
+``GradedKernel``: its superdiagonal entries are then Gaussian scalars, so
+the carried product is a pair of ints, and its minors are dense
+coefficient lists.  Any other matrix runs on ``PolyKernel``, on
 ``BivarPoly`` itself.
 
 A minor is dropped after the last row that reads it: minor c is read by
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .matrices import HessenbergMatrix
-from .ring import ONE, BivarPoly, GradedKernel, PolyKernel, ZERO
+from .ring import ONE, BivarPoly, ZERO, check_count, kernel_for
 
 
 class BudgetExceeded(ValueError):
@@ -56,14 +58,22 @@ class EvalBudget:
     max_det_order: int = 10
     max_per_order: int = 8
 
+    def __post_init__(self) -> None:
+        check_count("max_det_order", self.max_det_order, 1)
+        check_count("max_per_order", self.max_per_order, 1)
+
 
 def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
-    n = a.n
-    ring = PolyKernel if a._y_weight is None else GradedKernel(a._y_weight)
-    below = [a._below_diagonal(i) for i in range(n)]
+    n, rows = a.n, a._rows
+    ring = kernel_for((i - j + 1, e) for i, row in enumerate(rows) for j, e in row.items())
+    # below[i]: row i's nonzero (col, entry) pairs left of the diagonal,
+    # nearest the diagonal first
+    below = [
+        [(j, row[j]) for j in sorted(row, reverse=True) if j < i] for i, row in enumerate(rows)
+    ]
     # superdiag[k] = a[k, k+1], negated for det: a product of i - c of them
     # then carries the sign (-1)^(i-c)
-    superdiag = [ring.scalar(a[k, k + 1], signed) for k in range(n - 1)]
+    superdiag = [ring.scalar(rows[k].get(k + 1, ZERO), signed) for k in range(n - 1)]
     # last_read[c]: the last row that reads minor c (row c itself, or a
     # later row with a nonzero in column c); minor n is the result
     last_read = list(range(n + 1))
@@ -72,7 +82,7 @@ def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
             last_read[c] = i
     minors = {0: ring.one}  # minors[k] = det/per of the leading k x k block
     for i in range(n):
-        triples = [(a[i, i], ring.unit, minors[i])]
+        triples = [(rows[i].get(i, ZERO), ring.unit, minors[i])]
         prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
         for c, entry in below[i]:
             while k > c:

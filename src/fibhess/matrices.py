@@ -13,11 +13,13 @@ below the diagonal.  They differ only in the two constants:
 Determinants of W and M, and permanents of H and K, all produce the same
 polynomial sequence.  A matrix keeps only its nonzero entries (about 3n
 of them here), so building and storing one costs O(n), not O(n^2).
+Whether a matrix is graded, and so runs on the ring's graded kernel, is
+found by the evaluators from the entries they read, not stored here.
 """
 
 from __future__ import annotations
 
-from .ring import X, Y, BivarPoly, GI_I, GradedKernel, ZERO, check_count
+from .ring import X, Y, BivarPoly, GI_I, ZERO, check_count
 
 
 class ShapeError(ValueError):
@@ -29,15 +31,9 @@ class HessenbergMatrix:
 
     Stored by its nonzeros, one ``{col: entry}`` map per row; ``rows()``
     and ``str()`` build the dense view on demand.
-
-    The same pass over the entries finds the matrix's grading, if it has
-    one: a y-weight w >= 1 under which every term x^a y^b of entry (i, j)
-    has weight a + w*b = i - j + 1.  Then every leading minor is
-    weighted-homogeneous, and the evaluators run on the ring's graded
-    kernel.  ``_y_weight`` holds w, or None for a matrix that is not graded.
     """
 
-    __slots__ = ("_rows", "_n", "_y_weight")
+    __slots__ = ("_rows", "_n")
 
     def __init__(self, entries):
         rows = [dict(enumerate(row)) for row in entries]
@@ -55,24 +51,18 @@ class HessenbergMatrix:
         n = len(rows)
         if n == 0:
             raise ShapeError("matrix order must be at least 1")
-        w = 0  # the y-weight the entries fix so far; None once one fails
         for i, row in enumerate(rows):
             for j, e in row.items():
                 if not isinstance(e, BivarPoly):
                     raise TypeError("entries must be BivarPoly")
                 if not 0 <= j < n:
                     raise ShapeError("matrix must be square")
-                if e.is_zero():
-                    continue
-                if j - i > 1:
+                if j - i > 1 and not e.is_zero():
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
-                if w is not None:
-                    w = GradedKernel.weigh(e, i - j + 1, w)
         self._rows = tuple({j: e for j, e in r.items() if not e.is_zero()} for r in rows)
         self._n = n
-        self._y_weight = None if w is None else w or 1
 
     @property
     def n(self) -> int:
@@ -81,13 +71,11 @@ class HessenbergMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> BivarPoly:
         """Entry at 0-based (row, col)."""
         i, j = ij
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise TypeError(f"index must be a pair of ints, got {ij!r}")
         if not (0 <= i < self._n and 0 <= j < self._n):
             raise IndexError(f"entry ({i}, {j}) outside a matrix of order {self._n}")
         return self._rows[i].get(j, ZERO)
-
-    def _below_diagonal(self, i: int) -> list[tuple[int, BivarPoly]]:
-        row = self._rows[i]  # nonzero (col, entry) pairs, nearest the diagonal first
-        return [(j, row[j]) for j in sorted(row, reverse=True) if j < i]
 
     def rows(self) -> tuple[tuple[BivarPoly, ...], ...]:
         return tuple(tuple(r.get(j, ZERO) for j in range(self._n)) for r in self._rows)
@@ -95,6 +83,8 @@ class HessenbergMatrix:
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
         """Copy with every entry of 0-based row i multiplied by the scalar
         c, an int or a ``GaussianInt``."""
+        if not isinstance(i, int):
+            raise TypeError(f"row index must be an int, got {i!r}")
         if not 0 <= i < self._n:
             raise IndexError(f"row {i} outside a matrix of order {self._n}")
         rows = list(self._rows)

@@ -27,7 +27,9 @@ coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
 of plain ints indexed by j (and a second list for the imaginary parts,
 once a step makes one): no exponent is stored or hashed, multiplying by x is
 free, and multiplying by y shifts the list.  ``GradedKernel.poly`` is the
-one way back to a ``BivarPoly``.
+one way back to a ``BivarPoly``.  ``kernel_for`` picks the kernel from the
+factors a recursion will read and the degree each one must have: the
+graded kernel when one y-weight fits them all, else ``PolyKernel``.
 """
 
 from __future__ import annotations
@@ -371,24 +373,6 @@ class GradedKernel:
         self.w = w
 
     @staticmethod
-    def weigh(e: BivarPoly, degree: int, w: int) -> int | None:
-        """The y-weight w >= 1 under which every term of ``e`` has weight
-        ``degree``: ``w`` when it is already fixed (nonzero), else the one
-        the terms fix, or 0 when they hold no y.  None when none fits."""
-        for xe, ye, _ in e._terms:
-            if not ye:
-                if xe != degree:
-                    return None
-            elif w:
-                if xe + w * ye != degree:
-                    return None
-            else:
-                w, rest = divmod(degree - xe, ye)
-                if rest or w < 1:
-                    return None
-        return w
-
-    @staticmethod
     def scalar(e: BivarPoly, negate: bool) -> tuple[int, int]:
         """A constant ``BivarPoly``, or its negative, as ``(re, im)``."""
         get = e._terms.get
@@ -460,3 +444,20 @@ def _add_scaled(out: list[int] | None, j: int, c: int, v: list[int]) -> list[int
     out.extend(repeat(0, end - len(out)))
     out[j:end] = map(add, out[j:end], part)
     return out
+
+
+def kernel_for(pairs):
+    """The kernel for values built from ``(degree, e)`` pairs of a degree
+    and a ``BivarPoly``: ``GradedKernel(w)`` for the one y-weight w >= 1
+    under which every term x^a y^b of every e has weight a + w*b = degree
+    (w = 1 when no term holds y), else ``PolyKernel``."""
+    w = 0  # 0 until a term with y fixes it
+    for degree, e in pairs:
+        for xe, ye, _ in e._terms:
+            if ye and not w:
+                w, rest = divmod(degree - xe, ye)
+                if rest or w < 1:
+                    return PolyKernel
+            elif xe + w * ye != degree:
+                return PolyKernel
+    return GradedKernel(w or 1)

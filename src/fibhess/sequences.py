@@ -96,7 +96,8 @@ class FamilySpec:
     ``xsub`` must be c or c*x, and ``ysub`` c or c*y, for a Gaussian
     integer c (zero included); ``p``, when not None, must be an int >= 1,
     and ``index_offset`` an int >= 0.  All are checked when the spec is
-    made: a non-int count raises TypeError, anything else ValueError."""
+    made: a seed that is not a ``BivarPoly`` or a count that is not an int
+    raises TypeError, anything else ValueError."""
 
     name: str
     xsub: BivarPoly
@@ -108,6 +109,9 @@ class FamilySpec:
         if self.p is not None:
             check_count("p", self.p, 1)
         check_count("index_offset", self.index_offset, 0)
+        for name, sub in (("xsub", self.xsub), ("ysub", self.ysub)):
+            if not isinstance(sub, BivarPoly):
+                raise TypeError(f"{name} must be a BivarPoly, got {sub!r}")
         GradedKernel.seed(self.xsub, "x")
         GradedKernel.seed(self.ysub, "y")
 

@@ -4,6 +4,7 @@ import contextlib
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -16,7 +17,7 @@ from fibhess.evaluators import (
     per_oracle,
 )
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from fibhess import ring
+from fibhess import evaluators, ring
 from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt
 from fibhess.sequences import f_poly, family_value, get_family
 
@@ -92,6 +93,13 @@ def test_oracle_budgets():
     )
     with pytest.raises(BudgetExceeded):
         det_oracle(build_w(1, 5), EvalBudget(max_det_order=4))
+
+
+@pytest.mark.parametrize("cap", ["max_det_order", "max_per_order"])
+@pytest.mark.parametrize("value, error", [("10", TypeError), (2.5, TypeError), (0, ValueError)])
+def test_budget_checks_its_caps_when_made(cap, value, error):
+    with pytest.raises(error, match=f"^{cap} must be"):
+        EvalBudget(**{cap: value})
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -289,12 +297,27 @@ def random_graded_matrix(rng, n, w):
     return HessenbergMatrix(rows)
 
 
+def graded_weight(a):
+    """The w of the ``GradedKernel(w)`` that ``det_hessenberg(a)`` runs on,
+    or None when it runs on ``PolyKernel``."""
+    kernels = []
+
+    def record(pairs):
+        kernels.append(ring.kernel_for(pairs))
+        return kernels[-1]
+
+    with mock.patch.object(evaluators, "kernel_for", record):
+        det_hessenberg(a)
+    (kernel,) = kernels
+    return kernel.w if isinstance(kernel, ring.GradedKernel) else None
+
+
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_graded_matrices_match_oracles(w):
     rng = random.Random(29 + w)
     for _ in range(15):
         a = random_graded_matrix(rng, rng.randint(1, 7), w)
-        assert a._y_weight is not None
+        assert graded_weight(a) is not None
         assert det_hessenberg(a) == det_oracle(a)
         assert per_hessenberg(a) == per_oracle(a)
 
@@ -308,7 +331,7 @@ def test_graded_without_y_matches_oracles():
         for i in range(n)
     ]
     a = HessenbergMatrix(rows)
-    assert a._y_weight is not None
+    assert graded_weight(a) is not None
     assert det_hessenberg(a) == det_oracle(a)
     assert per_hessenberg(a) == per_oracle(a)
 
@@ -349,7 +372,7 @@ def row_times(a, i, f):
 def test_ungraded_matrices_match_oracles(make, p):
     for n in range(3, 8):
         a = make(p, n)
-        assert a._y_weight is None
+        assert graded_weight(a) is None
         assert det_hessenberg(a) == det_oracle(a)
         assert per_hessenberg(a) == per_oracle(a)
 
@@ -357,7 +380,7 @@ def test_ungraded_matrices_match_oracles(make, p):
 def test_random_general_matrices_are_mostly_ungraded():
     # the general-matrix oracle test above covers the BivarPoly fallback
     rng = random.Random(19)
-    graded = [random_general_matrix(rng, rng.randint(3, 7))._y_weight for _ in range(40)]
+    graded = [graded_weight(random_general_matrix(rng, rng.randint(3, 7))) for _ in range(40)]
     assert graded.count(None) >= 35
 
 
@@ -367,8 +390,8 @@ def test_grading_never_reads_band(builder, p):
     for n in (1, 2, p + 1, p + 2, 12):
         a = builder(p, n)
         bare = HessenbergMatrix(a.rows())
-        assert a._y_weight is not None
-        assert bare._y_weight == a._y_weight == (p + 1 if n > p else 1)
+        assert graded_weight(a) is not None
+        assert graded_weight(bare) == graded_weight(a) == (p + 1 if n > p else 1)
         assert det_hessenberg(bare) == det_hessenberg(a)
         assert per_hessenberg(bare) == per_hessenberg(a)
 

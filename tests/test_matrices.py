@@ -244,6 +244,17 @@ def test_scale_row_outside_the_matrix_raises(i):
         build_k(1, 3).scale_row(i, 2)
 
 
+@pytest.mark.parametrize("index", [1.0, "1"])
+def test_non_int_index_is_rejected_by_name(index):
+    a = build_k(1, 3)
+    with pytest.raises(TypeError, match="^index must be a pair of ints, got"):
+        a[index, 1]
+    with pytest.raises(TypeError, match="^index must be a pair of ints, got"):
+        a[1, index]
+    with pytest.raises(TypeError, match="^row index must be an int, got"):
+        a.scale_row(index, 2)
+
+
 def test_scale_row_takes_a_scalar_not_a_polynomial():
     i = GaussianInt(0, 1)
     assert build_w(2, 5).scale_row(2, i).rows()[2][2] == X.scale(i)

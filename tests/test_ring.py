@@ -15,7 +15,10 @@ from fibhess.ring import (
     ZERO,
     BivarPoly,
     GaussianInt,
+    GradedKernel,
+    PolyKernel,
     i_pow,
+    kernel_for,
     sum_of_products,
 )
 
@@ -199,6 +202,29 @@ def test_cancellation_across_pairs_is_canonical_zero():
     assert r == ZERO
     assert hash(r) == hash(ZERO)
     assert r.terms() == []
+
+
+@pytest.mark.parametrize(
+    "pairs, w",
+    [
+        ([], 1),  # nothing holds y, so w = 1
+        ([(2, X * X), (0, ONE.scale(GaussianInt(0, 1)))], 1),
+        ([(1, X), (3, Y), (4, X * Y)], 3),
+        ([(2, Y.scale(GaussianInt(0, 1)))], 2),  # an i-term fixes w as well
+        ([(2, X * Y)], 1),
+        ([(1, X + ONE)], None),  # the constant has degree 0, not 1
+        ([(3, Y * Y)], None),  # y would weigh 3/2
+        ([(1, Y), (2, Y)], None),  # two entries fix two weights
+        ([(1, X * Y)], None),  # y would weigh 0
+        ([(0, Y)], None),
+    ],
+)
+def test_kernel_for_finds_the_one_y_weight(pairs, w):
+    kernel = kernel_for(iter(pairs))
+    if w is None:
+        assert kernel is PolyKernel
+    else:
+        assert isinstance(kernel, GradedKernel) and kernel.w == w
 
 
 # --- substitution and evaluation ----------------------------------------

@@ -273,6 +273,14 @@ def test_spec_rejects_non_int_index_offset(offset):
         FamilySpec("bad", X, Y, 1, index_offset=offset)
 
 
+@pytest.mark.parametrize("seed", [1, GaussianInt(0, 1), "x"])
+def test_spec_rejects_seeds_that_are_not_polys(seed):
+    with pytest.raises(TypeError, match="^xsub must be a BivarPoly, got"):
+        FamilySpec("bad", seed, Y, 1)
+    with pytest.raises(TypeError, match="^ysub must be a BivarPoly, got"):
+        FamilySpec("bad", X, seed, 1)
+
+
 @pytest.mark.parametrize("p, error", [(0, ValueError), (-1, ValueError), (1.5, TypeError)])
 def test_spec_rejects_bad_p(p, error):
     with pytest.raises(error, match="^p must be"):
