@@ -7,6 +7,10 @@ the n-th sequence term; matrix routes build the (n-1) x (n-1) matrix
 internally so every method answers the same question.
 
 The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
+``check`` takes each p's row of cells from ``sequences.cross_check_prefix``,
+one pass of each fast route up to --n-max, and prints each cell as it
+comes, so a P x N grid costs about what P cells at n = N cost, and no row
+is held in memory.
 
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage
 error, 3 brute-force oracle budget exceeded.  Each command checks its
@@ -33,7 +37,7 @@ from typing import Callable
 from .evaluators import BudgetExceeded
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from .ring import BivarPoly
-from .sequences import ROUTES, cross_check, family_value, get_family
+from .sequences import ROUTES, cross_check_prefix, family_value, get_family
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -127,8 +131,7 @@ def _cmd_check(args) -> int:
     passed = 0
     first_failure = None
     for p in range(1, args.p_max + 1):
-        for n in range(1, args.n_max + 1):
-            report = cross_check(p, n)
+        for report in cross_check_prefix(p, args.n_max):
             total += 1
             if report.all_equal:
                 passed += 1

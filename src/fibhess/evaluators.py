@@ -24,6 +24,15 @@ the carried product is a pair of ints, and its minors are dense
 coefficient lists.  Any other matrix runs on ``PolyKernel``, on
 ``BivarPoly`` itself.
 
+The recursion computes every leading minor on its way to order n, so it
+is a generator: ``leading_minors`` returns the kernel it runs on and an
+iterator over the minors of orders 0..n as raw kernel values, and the
+caller converts with the kernel's ``poly`` only the values it reads.
+``det_hessenberg`` and ``per_hessenberg`` convert the last one.  The
+leading k x k block of each of the four matrix families at order n is the
+same family at order k, so one pass over the order-n matrix gives the
+route values of every order up to n.
+
 A minor is dropped after the last row that reads it: minor c is read by
 row c and by every row with a nonzero in column c.  A matrix with one
 sub-diagonal band at offset p therefore holds p + 2 minors at a time, not
@@ -36,8 +45,10 @@ recursions at small orders.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Any, Iterator
 
 from .matrices import HessenbergMatrix
 from .ring import ONE, BivarPoly, ZERO, check_count, kernel_for
@@ -63,9 +74,18 @@ class EvalBudget:
         check_count("max_per_order", self.max_per_order, 1)
 
 
-def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
+def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[Any, Iterator]:
+    """The kernel ``kernel_for`` picks from a's nonzeros, and an iterator
+    over the det (``signed``) or per of a's leading k x k blocks for
+    k = 0..n, in order, as raw values of that kernel: ``ring.poly(value, k)``
+    is block k's ``BivarPoly``.  The matrix is read when this is called;
+    the recursion runs as the iterator is consumed."""
+    ring = kernel_for((i - j + 1, e) for i, row in enumerate(a._rows) for j, e in row.items())
+    return ring, _recursion(a, ring, signed)
+
+
+def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
     n, rows = a.n, a._rows
-    ring = kernel_for((i - j + 1, e) for i, row in enumerate(rows) for j, e in row.items())
     # below[i]: row i's nonzero (col, entry) pairs left of the diagonal,
     # nearest the diagonal first
     below = [
@@ -75,12 +95,13 @@ def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
     # then carries the sign (-1)^(i-c)
     superdiag = [ring.scalar(rows[k].get(k + 1, ZERO), signed) for k in range(n - 1)]
     # last_read[c]: the last row that reads minor c (row c itself, or a
-    # later row with a nonzero in column c); minor n is the result
+    # later row with a nonzero in column c); minor n is never dropped
     last_read = list(range(n + 1))
     for i, entries in enumerate(below):
         for c, _ in entries:
             last_read[c] = i
     minors = {0: ring.one}  # minors[k] = det/per of the leading k x k block
+    yield ring.one
     for i in range(n):
         triples = [(rows[i].get(i, ZERO), ring.unit, minors[i])]
         prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
@@ -90,19 +111,24 @@ def _hessenberg_recursion(a: HessenbergMatrix, signed: bool) -> BivarPoly:
                 prod = ring.times(prod, superdiag[k])
             triples.append((entry, prod, minors[c]))
         minors[i + 1] = ring.sum_of_products(triples)
+        yield minors[i + 1]
         for c in [c for c in minors if last_read[c] == i]:
             del minors[c]
-    return ring.poly(minors[n], n)
+
+
+def _whole(a: HessenbergMatrix, signed: bool) -> BivarPoly:
+    ring, minors = leading_minors(a, signed)
+    return ring.poly(deque(minors, maxlen=1)[0], a.n)
 
 
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:
     """Determinant via the signed leading-principal-minor recursion."""
-    return _hessenberg_recursion(a, signed=True)
+    return _whole(a, signed=True)
 
 
 def per_hessenberg(a: HessenbergMatrix) -> BivarPoly:
     """Permanent via the sign-free leading-principal-minor recursion."""
-    return _hessenberg_recursion(a, signed=False)
+    return _whole(a, signed=False)
 
 
 def det_oracle(a: HessenbergMatrix, budget: EvalBudget | None = None) -> BivarPoly:

@@ -9,6 +9,15 @@ brute-force oracles included, to a function of (p, n) that returns
 G(p, n); cross_check runs the five fast routes and compares each with the
 recurrence exactly.
 
+Each fast route also has a prefix form, ``ROUTES[name].prefix(p, n)``: the
+kernel it runs on and the raw values of G(p, 1..n) from one pass, the
+recurrence's terms or the leading minors of one order-(n-1) matrix (whose
+leading k x k block is the order-k matrix).  ``cross_check_prefix(p, n)``
+walks the five streams in lockstep and yields ``cross_check(p, k)`` for
+k = 1..n, converting only each cell's own values to ``BivarPoly``; the CLI
+grid runs on it.  A single value converts only its last term.  The
+oracles stay single-valued.
+
 Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
 classical families: Fibonacci, Pell, Jacobsthal, and second-kind
@@ -30,9 +39,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterator
 
-from .evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
-from .matrices import build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, GradedKernel, check_count
+from .evaluators import det_hessenberg, det_oracle, leading_minors, per_hessenberg, per_oracle
+from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
+from .ring import ONE, X, Y, BivarPoly, GradedKernel, PolyKernel, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -181,10 +190,28 @@ class CrossCheckReport:
     first_mismatch: tuple[str, str] | None
 
 
-_Route = Callable[[int, int], BivarPoly]
+_Value = Callable[[int, int], BivarPoly]
 
 
-def _on_matrix(evaluate: _Route) -> _Route:
+@dataclass(frozen=True)
+class _Route:
+    """A fast route.  Calling it gives G(p, n); ``prefix(p, n)`` gives the
+    kernel it runs on and an iterator over the raw values of G(p, 1..n),
+    all from one recursion, G(p, k) being ``ring.poly(value, k - 1)``."""
+
+    value: _Value
+    prefix: Callable[[int, int], tuple[Any, Iterator]]
+
+    def __call__(self, p: int, n: int) -> BivarPoly:
+        return self.value(p, n)
+
+
+def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:
+    _check_args(p, n, n_min=1)
+    return GradedKernel(p + 1), islice(_graded_terms(p, n), 1, None)
+
+
+def _on_matrix(evaluate: _Value) -> _Value:
     """A route to G(p, n) through ``evaluate`` of the order-(n-1) matrices;
     the empty order-0 matrix has det = per = 1 and needs no matrix object."""
 
@@ -195,27 +222,68 @@ def _on_matrix(evaluate: _Route) -> _Route:
     return route
 
 
-# Route name -> fn(p, n) returning G(p, n).  The lambdas look up the
-# builders and evaluators in this module's globals at call time, so that a
-# name rebound here (a patched builder, a traced evaluator) is used.
-ROUTES: dict[str, _Route] = {
-    "recurrence": lambda p, n: f_poly(p, n),
-    "det-w": _on_matrix(lambda p, order: det_hessenberg(build_w(p, order))),
-    "det-m": _on_matrix(lambda p, order: det_hessenberg(build_m(p, order))),
-    "per-h": _on_matrix(lambda p, order: per_hessenberg(build_h(p, order))),
-    "per-k": _on_matrix(lambda p, order: per_hessenberg(build_k(p, order))),
+def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -> _Route:
+    """The route through det (``signed``) or per of build(p, n - 1).  The
+    leading k x k block of that matrix is build(p, k), so its minors of
+    orders 0..n-1 are G(p, 1..n)."""
+
+    def prefix(p: int, n: int) -> tuple[Any, Iterator]:
+        _check_args(p, n, n_min=1)
+        if n == 1:
+            return PolyKernel, iter((ONE,))
+        return leading_minors(build(p, n - 1), signed)
+
+    return _Route(
+        _on_matrix(lambda p, order: (det_hessenberg if signed else per_hessenberg)(build(p, order))),
+        prefix,
+    )
+
+
+# Route name -> fn(p, n) returning G(p, n); the fast routes also stream
+# G(p, 1..n).  The lambdas and the routes look up the builders and
+# evaluators in this module's globals at call time, so that a name rebound
+# here (a patched builder, a traced evaluator) is used.
+ROUTES: dict[str, _Value] = {
+    "recurrence": _Route(lambda p, n: f_poly(p, n), _recurrence_prefix),
+    "det-w": _matrix_route(lambda p, order: build_w(p, order), signed=True),
+    "det-m": _matrix_route(lambda p, order: build_m(p, order), signed=True),
+    "per-h": _matrix_route(lambda p, order: build_h(p, order), signed=False),
+    "per-k": _matrix_route(lambda p, order: build_k(p, order), signed=False),
     "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order))),
     "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order))),
 }
-_FAST_ROUTES = tuple(name for name in ROUTES if not name.startswith("oracle-"))
+_FAST_ROUTES = tuple(name for name, route in ROUTES.items() if isinstance(route, _Route))
+
+
+def _report(p: int, n: int, values: dict[str, BivarPoly]) -> CrossCheckReport:
+    """Compare each route value with the recurrence's; structural equality
+    is transitive, so that decides whether all five agree."""
+    differing = [name for name, value in values.items() if value != values["recurrence"]]
+    first_mismatch = ("recurrence", differing[0]) if differing else None
+    return CrossCheckReport(p, n, values, first_mismatch is None, first_mismatch)
 
 
 def cross_check(p: int, n: int) -> CrossCheckReport:
     """Compare each of the four order-n matrix routes with the recurrence
-    value G(p, n+1); structural equality is transitive, so that decides
-    whether all five agree."""
+    value G(p, n+1)."""
     _check_args(p, n, n_min=1)
-    values = {name: ROUTES[name](p, n + 1) for name in _FAST_ROUTES}
-    differing = [name for name, value in values.items() if value != values["recurrence"]]
-    first_mismatch = ("recurrence", differing[0]) if differing else None
-    return CrossCheckReport(p, n, values, first_mismatch is None, first_mismatch)
+    return _report(p, n, {name: ROUTES[name](p, n + 1) for name in _FAST_ROUTES})
+
+
+def cross_check_prefix(p: int, n: int) -> Iterator[CrossCheckReport]:
+    """An iterator over ``cross_check(p, k)`` for k = 1..n, in order, from
+    one pass of each fast route: the four order-n matrices and the
+    recurrence up to G(p, n+1).  The five streams are walked in lockstep,
+    and each report converts only its own five values, so memory stays
+    O(p * terms) per route whatever n is."""
+    _check_args(p, n, n_min=1)
+    streams = [ROUTES[name].prefix(p, n + 1) for name in _FAST_ROUTES]
+    return _reports(p, streams)
+
+
+def _reports(p: int, streams: list[tuple[Any, Iterator]]) -> Iterator[CrossCheckReport]:
+    rings = [ring for ring, _ in streams]
+    cells = islice(zip(*(values for _, values in streams)), 1, None)  # from G(p, 2)
+    for k, raw in enumerate(cells, 1):
+        values = {name: ring.poly(v, k) for name, ring, v in zip(_FAST_ROUTES, rings, raw)}
+        yield _report(p, k, values)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,54 @@ def test_check_detects_corrupted_builder(capsys, monkeypatch):
     assert "det-m" in err
 
 
+def test_check_json_matches_per_cell_cross_check(capsys):
+    code, out, _ = run(capsys, "check", "--p-max", "4", "--n-max", "12", "--format", "json")
+    assert code == EXIT_OK
+    expected = []
+    for p in range(1, 5):
+        for n in range(1, 13):
+            report = sequences.cross_check(p, n)
+            record = {
+                "p": p,
+                "n": n,
+                "all_equal": report.all_equal,
+                "first_mismatch": None,
+                "values": {route: cli.poly_terms_json(v) for route, v in report.values.items()},
+            }
+            expected.append(json.dumps(record))
+    assert out.splitlines() == expected
+
+
+def test_check_holds_no_row_of_cells(capsys):
+    # cells are printed as they come; a row of 200 reports is about 7 MiB
+    tracemalloc.start()
+    try:
+        code = main(["check", "--p-max", "1", "--n-max", "200"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "200 checks, 200 passed\n"
+    assert peak < 2 * 2**20
+
+
+def test_check_failure_stays_in_its_cell(capsys, monkeypatch):
+    # M is corrupted from order 6 on: one pass over the order-8 matrix must
+    # still pass cells 1..5 and fail 6..8
+    monkeypatch.setattr(
+        sequences, "build_m", lambda p, n: build_m(p, n).scale_row(5, 2) if n > 5 else build_m(p, n)
+    )
+    code, out, err = run(capsys, "check", "--p-max", "1", "--n-max", "8", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    verdicts = [(r["n"], r["all_equal"]) for r in map(json.loads, out.splitlines())]
+    assert verdicts == [(n, n <= 5) for n in range(1, 9)]
+    # the JSON lines carry the verdicts; the text format names the first failure
+    code, out, err = run(capsys, "check", "--p-max", "1", "--n-max", "8")
+    assert code == EXIT_CHECK_FAILED
+    assert out == "8 checks, 5 passed\n"
+    assert err == "FAIL at p=1, n=6: recurrence != det-m\n"
+
+
 def test_check_closed_pipe_ends_quietly():
     # the output (about 150 kB) outgrows the pipe buffer, so the process is
     # still writing when the reader goes away
@@ -322,7 +371,7 @@ def test_bad_arguments_are_usage_errors(capsys, monkeypatch, argv):
         for name in table:
             monkeypatch.setitem(table, name, unreachable)
     monkeypatch.setattr(cli, "family_value", unreachable)
-    monkeypatch.setattr(cli, "cross_check", unreachable)
+    monkeypatch.setattr(cli, "cross_check_prefix", unreachable)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""

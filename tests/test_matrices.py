@@ -164,6 +164,19 @@ def test_last_row_expansion_is_the_recurrence_at_every_n(builder):
             assert c == Y, (p, n)
 
 
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_leading_block_is_the_smaller_matrix(builder):
+    # the check grid reads every order k <= N off one order-N matrix
+    n = 12
+    for p in range(1, 9):
+        big = builder(p, n)
+        for k in range(1, n + 1):
+            small = builder(p, k)
+            for i in range(k):
+                for j in range(k):
+                    assert big[i, j] == small[i, j], (p, k, i, j)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_h_is_w_with_conjugated_superdiagonal(p, n):

@@ -342,6 +342,46 @@ def test_five_way_agreement_grid(p):
         assert cross_check(p, n).all_equal
 
 
+FAST_ROUTES = ("recurrence", "det-w", "det-m", "per-h", "per-k")
+
+
+@pytest.mark.parametrize("name", FAST_ROUTES)
+def test_route_prefix_matches_each_order(name):
+    # one pass gives G(p, 1..n); n = 1 is the order-0 matrix
+    route = sequences.ROUTES[name]
+    for p in range(1, 5):
+        expected = [route(p, k) for k in range(1, 21)]
+        for n in range(1, 21):
+            ring, values = route.prefix(p, n)
+            got = [ring.poly(v, k - 1) for k, v in enumerate(values, 1)]
+            assert got == expected[:n], (p, n)
+
+
+def test_cross_check_prefix_matches_each_cell():
+    for p in range(1, 5):
+        reports = list(sequences.cross_check_prefix(p, 12))
+        assert reports == [cross_check(p, n) for n in range(1, 13)], p
+
+
+def test_cross_check_prefix_holds_one_cell_at_a_time():
+    # holding the row of 200 reports peaks at about 7 MiB
+    tracemalloc.start()
+    try:
+        for _ in sequences.cross_check_prefix(1, 200):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_cross_check_prefix_rejects_bad_args():
+    with pytest.raises(ValueError):
+        sequences.cross_check_prefix(1, 0)
+    with pytest.raises(ValueError):
+        sequences.cross_check_prefix(0, 1)
+
+
 def test_cross_check_rejects_bad_args():
     with pytest.raises(ValueError):
         cross_check(1, 0)
@@ -355,7 +395,9 @@ _COUNTED = {
     "fib_p_number": fib_p_number,
     "family_value": lambda p, n: family_value(get_family("fibonacci-p-poly"), n, p=p),
     "cross_check": cross_check,
+    "cross_check_prefix": sequences.cross_check_prefix,
     **{f"route-{name}": route for name, route in sequences.ROUTES.items()},
+    **{f"prefix-{name}": sequences.ROUTES[name].prefix for name in FAST_ROUTES},
 }
 
 
