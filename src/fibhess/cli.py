@@ -10,7 +10,9 @@ The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
 ``check`` takes each p's row of cells from ``sequences.cross_check_prefix``,
 one pass of each fast route up to --n-max, and prints each cell as it
 comes, so a P x N grid costs about what P cells at n = N cost, and no row
-is held in memory.
+is held in memory.  With ``--format json`` each distinct value of a cell
+is rendered and encoded once, from its term map: when the report finds the
+five routes equal, the recurrence's term list is the text of all five.
 
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage
 error, 3 brute-force oracle budget exceeded.  Each command checks its
@@ -32,12 +34,12 @@ import contextlib
 import json
 import signal
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .evaluators import BudgetExceeded
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from .ring import BivarPoly
-from .sequences import ROUTES, cross_check_prefix, family_value, get_family
+from .sequences import ROUTES, CrossCheckReport, cross_check_prefix, family_value, get_family
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,8 +79,8 @@ def _unlimited_int_digits():
 
 def poly_terms_json(poly: BivarPoly) -> list[dict[str, object]]:
     return [
-        {"xexp": xe, "yexp": ye, "re": str(c.re), "im": str(c.im)}
-        for (xe, ye), c in poly.terms()
+        {"xexp": xe, "yexp": ye, "re": str(re), "im": str(im)}
+        for xe, ye, re, im in poly.term_parts()
     ]
 
 
@@ -124,6 +126,29 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
+def _report_json(report: CrossCheckReport) -> str:
+    """One cell's JSON line: the text ``json.dumps`` gives for the record of
+    its p, n, verdict and each route's terms.  Each distinct value is
+    rendered and encoded once: when the routes agree, the recurrence's text
+    stands for all five."""
+    values = report.values
+    if report.all_equal:
+        texts = dict.fromkeys(values, json.dumps(poly_terms_json(values["recurrence"])))
+    else:
+        texts = {route: json.dumps(poly_terms_json(poly)) for route, poly in values.items()}
+    head = json.dumps(
+        {
+            "p": report.p,
+            "n": report.n,
+            "all_equal": report.all_equal,
+            "first_mismatch": list(report.first_mismatch) if report.first_mismatch else None,
+        }
+    )
+    # route names are plain ASCII words, so quoting one is its JSON text
+    body = ", ".join(f'"{route}": {text}' for route, text in texts.items())
+    return f'{head[:-1]}, "values": {{{body}}}}}'
+
+
 def _cmd_check(args) -> int:
     _require_at_least("--p-max", args.p_max, 1)
     _require_at_least("--n-max", args.n_max, 1)
@@ -138,22 +163,7 @@ def _cmd_check(args) -> int:
             elif first_failure is None:
                 first_failure = report
             if args.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "p": report.p,
-                            "n": report.n,
-                            "all_equal": report.all_equal,
-                            "first_mismatch": list(report.first_mismatch)
-                            if report.first_mismatch
-                            else None,
-                            "values": {
-                                route: poly_terms_json(poly)
-                                for route, poly in report.values.items()
-                            },
-                        }
-                    )
-                )
+                print(_report_json(report))
     if args.format != "json":
         noun = "check" if total == 1 else "checks"
         print(f"{total} {noun}, {passed} passed")

@@ -46,35 +46,33 @@ recursions at small orders.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import permutations
-from typing import Any, Iterator
 
 from .matrices import HessenbergMatrix
-from .ring import ONE, BivarPoly, ZERO, check_count, kernel_for
+from .ring import ONE, BivarPoly, Frozen, ZERO, check_count, kernel_for
 
 
 class BudgetExceeded(ValueError):
     """Matrix order is too large for a brute-force oracle."""
 
 
-@dataclass(frozen=True)
-class EvalBudget:
+class EvalBudget(Frozen):
     """Order caps for the brute-force oracles.
 
     Defaults keep the full oracle suite at a few seconds: Laplace
     expansion up to 10, permutation sum up to 8.
     """
 
-    max_det_order: int = 10
-    max_per_order: int = 8
+    __slots__ = ("max_det_order", "max_per_order")
 
-    def __post_init__(self) -> None:
-        check_count("max_det_order", self.max_det_order, 1)
-        check_count("max_per_order", self.max_per_order, 1)
+    def __init__(self, max_det_order: int = 10, max_per_order: int = 8) -> None:
+        check_count("max_det_order", max_det_order, 1)
+        check_count("max_per_order", max_per_order, 1)
+        super().__init__(max_det_order, max_per_order)
 
 
-def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[Any, Iterator]:
+def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[object, Iterator]:
     """The kernel ``kernel_for`` picks from a's nonzeros, and an iterator
     over the det (``signed``) or per of a's leading k x k blocks for
     k = 0..n, in order, as raw values of that kernel: ``ring.poly(value, k)``

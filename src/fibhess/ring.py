@@ -8,7 +8,9 @@ as an integer polynomial in x, y and i reduced by i^2 = -1: a term map
 x^xexp y^yexp is held as a at iexp 0 and b at iexp 1.  The map never holds
 a zero, so equality is plain structural equality, and add, mul and neg are
 loops over plain ints.  ``GaussianInt`` values are built only at the
-boundary: constructor input, ``terms()``, ``coeff()`` and ``eval_at``.
+boundary: constructor input, ``terms()``, ``coeff()`` and ``eval_at``;
+``term_parts()`` reads the same terms as plain ints.  ``GaussianInt`` and
+the library's other record types share one immutable base, ``Frozen``.
 
 All ``BivarPoly`` multiplication goes through one kernel,
 ``sum_of_products``: it adds the products of any number of pairs into one
@@ -34,7 +36,6 @@ graded kernel when one y-weight fits them all, else ``PolyKernel``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 
@@ -67,12 +68,68 @@ def _power(base, k: int, one):
     return result
 
 
-@dataclass(frozen=True)
-class GaussianInt:
+class _DataclassFields:
+    """The ``dataclasses`` field table of a ``Frozen`` class, made when it is
+    asked for, so that ``dataclasses.fields``, ``replace`` and ``asdict``
+    apply to the record types while importing this module imports no
+    ``dataclasses`` (which loads ``inspect`` and ``ast``)."""
+
+    def __get__(self, obj, cls):
+        import dataclasses  # loaded already by whoever calls its helpers
+
+        return dataclasses.make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+
+
+class Frozen:
+    """Base of the immutable record types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its own ``__init__`` checks its arguments and passes the field values to
+    this one.  An instance equals only an instance of its own class with
+    equal fields, hashes as the tuple of its fields, shows as
+    ``Name(field=value, ...)``, copies and pickles through its constructor,
+    and raises AttributeError on assignment.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GaussianInt(Frozen):
     """A Gaussian integer a + bi with exact integer parts."""
 
-    re: int = 0
-    im: int = 0
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0) -> None:
+        super().__init__(re, im)
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         if not isinstance(other, GaussianInt):
@@ -164,8 +221,15 @@ class BivarPoly:
 
     def terms(self) -> list[tuple[Monomial, GaussianInt]]:
         """Terms in canonical descending lexicographic order."""
+        return [((xe, ye), GaussianInt(re, im)) for xe, ye, re, im in self.term_parts()]
+
+    def term_parts(self) -> list[tuple[int, int, int, int]]:
+        """``(xexp, yexp, re, im)`` for each term re + im*i times
+        x^xexp y^yexp, in the canonical order of ``terms()``, read straight
+        from the term map."""
+        get = self._terms.get
         monos = sorted({(xe, ye) for xe, ye, _ in self._terms}, reverse=True)
-        return [(mono, self.coeff(*mono)) for mono in monos]
+        return [(xe, ye, get((xe, ye, 0), 0), get((xe, ye, 1), 0)) for xe, ye in monos]
 
     def coeff(self, xexp: int, yexp: int) -> GaussianInt:
         get = self._terms.get

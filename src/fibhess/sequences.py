@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from itertools import islice
-from typing import Any, Callable, Iterator
 
 from .evaluators import det_hessenberg, det_oracle, leading_minors, per_hessenberg, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, GradedKernel, PolyKernel, check_count
+from .ring import ONE, X, Y, BivarPoly, Frozen, GradedKernel, PolyKernel, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -49,7 +48,7 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
     check_count("n", n, n_min)
 
 
-def _recurrence(p: int, n: int, step: Callable[[Any, Any], Any], zero, one) -> Iterator:
+def _recurrence(p: int, n: int, step: Callable[[object, object], object], zero, one) -> Iterator:
     """Yield terms 0..n of the recurrence G(k) = step(G(k-1), G(k-p-1)),
     with G(1) = ``one`` and G(k) = ``zero`` for k <= 0, in the ring of
     ``zero`` and ``one`` (graded values, or int for fib_p_number).  Terms
@@ -96,8 +95,7 @@ def fib_p_number(p: int, n: int) -> int:
     return _last(_recurrence(p, n, operator.add, 0, 1))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A named specialization: substitutions for x and y, a fixed p or
     None for p-parameterized rows, and an index shift so that
     family(n) = substitute(G(p, n + index_offset)).
@@ -108,21 +106,20 @@ class FamilySpec:
     made: a seed that is not a ``BivarPoly`` or a count that is not an int
     raises TypeError, anything else ValueError."""
 
-    name: str
-    xsub: BivarPoly
-    ysub: BivarPoly
-    p: int | None
-    index_offset: int = 0
+    __slots__ = ("name", "xsub", "ysub", "p", "index_offset")
 
-    def __post_init__(self) -> None:
-        if self.p is not None:
-            check_count("p", self.p, 1)
-        check_count("index_offset", self.index_offset, 0)
-        for name, sub in (("xsub", self.xsub), ("ysub", self.ysub)):
+    def __init__(
+        self, name: str, xsub: BivarPoly, ysub: BivarPoly, p: int | None, index_offset: int = 0
+    ) -> None:
+        if p is not None:
+            check_count("p", p, 1)
+        check_count("index_offset", index_offset, 0)
+        for arg, sub in (("xsub", xsub), ("ysub", ysub)):
             if not isinstance(sub, BivarPoly):
-                raise TypeError(f"{name} must be a BivarPoly, got {sub!r}")
-        GradedKernel.seed(self.xsub, "x")
-        GradedKernel.seed(self.ysub, "y")
+                raise TypeError(f"{arg} must be a BivarPoly, got {sub!r}")
+        GradedKernel.seed(xsub, "x")
+        GradedKernel.seed(ysub, "y")
+        super().__init__(name, xsub, ysub, p, index_offset)
 
 
 _TWO_X = X.scale(2)
@@ -179,28 +176,36 @@ def get_family(name: str) -> FamilySpec:
         raise KeyError(f"unknown family {name!r}; available: {available}") from None
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Frozen):
     """The five route values for one (p, n) and their agreement verdict."""
 
-    p: int
-    n: int
-    values: dict[str, BivarPoly]
-    all_equal: bool
-    first_mismatch: tuple[str, str] | None
+    __slots__ = ("p", "n", "values", "all_equal", "first_mismatch")
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        values: dict[str, BivarPoly],
+        all_equal: bool,
+        first_mismatch: tuple[str, str] | None,
+    ) -> None:
+        super().__init__(p, n, values, all_equal, first_mismatch)
 
 
 _Value = Callable[[int, int], BivarPoly]
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(Frozen):
     """A fast route.  Calling it gives G(p, n); ``prefix(p, n)`` gives the
     kernel it runs on and an iterator over the raw values of G(p, 1..n),
     all from one recursion, G(p, k) being ``ring.poly(value, k - 1)``."""
 
-    value: _Value
-    prefix: Callable[[int, int], tuple[Any, Iterator]]
+    __slots__ = ("value", "prefix")
+
+    def __init__(
+        self, value: _Value, prefix: Callable[[int, int], tuple[object, Iterator]]
+    ) -> None:
+        super().__init__(value, prefix)
 
     def __call__(self, p: int, n: int) -> BivarPoly:
         return self.value(p, n)
@@ -227,7 +232,7 @@ def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -
     leading k x k block of that matrix is build(p, k), so its minors of
     orders 0..n-1 are G(p, 1..n)."""
 
-    def prefix(p: int, n: int) -> tuple[Any, Iterator]:
+    def prefix(p: int, n: int) -> tuple[object, Iterator]:
         _check_args(p, n, n_min=1)
         if n == 1:
             return PolyKernel, iter((ONE,))
@@ -281,7 +286,7 @@ def cross_check_prefix(p: int, n: int) -> Iterator[CrossCheckReport]:
     return _reports(p, streams)
 
 
-def _reports(p: int, streams: list[tuple[Any, Iterator]]) -> Iterator[CrossCheckReport]:
+def _reports(p: int, streams: list[tuple[object, Iterator]]) -> Iterator[CrossCheckReport]:
     rings = [ring for ring, _ in streams]
     cells = islice(zip(*(values for _, values in streams)), 1, None)  # from G(p, 2)
     for k, raw in enumerate(cells, 1):

@@ -42,6 +42,51 @@ def poly_from_terms_json(terms):
     return BivarPoly(coeffs)
 
 
+def terms_json_by_terms(poly):
+    return [
+        {"xexp": xe, "yexp": ye, "re": str(c.re), "im": str(c.im)} for (xe, ye), c in poly.terms()
+    ]
+
+
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        (BivarPoly(), []),
+        (
+            BivarPoly({(0, 2): 3, (2, 0): -1}),
+            [
+                {"xexp": 2, "yexp": 0, "re": "-1", "im": "0"},
+                {"xexp": 0, "yexp": 2, "re": "3", "im": "0"},
+            ],
+        ),
+        (
+            BivarPoly({(1, 1): GaussianInt(0, -4), (0, 0): GaussianInt(0, 1)}),
+            [
+                {"xexp": 1, "yexp": 1, "re": "0", "im": "-4"},
+                {"xexp": 0, "yexp": 0, "re": "0", "im": "1"},
+            ],
+        ),
+        (
+            BivarPoly({(0, 3): GaussianInt(2, -5), (1, 0): 7, (0, 4): GaussianInt(0, 2)}),
+            [
+                {"xexp": 1, "yexp": 0, "re": "7", "im": "0"},
+                {"xexp": 0, "yexp": 4, "re": "0", "im": "2"},
+                {"xexp": 0, "yexp": 3, "re": "2", "im": "-5"},
+            ],
+        ),
+    ],
+    ids=["zero", "real", "imaginary", "mixed"],
+)
+def test_poly_terms_json_edge_cases(poly, expected):
+    assert cli.poly_terms_json(poly) == expected == terms_json_by_terms(poly)
+
+
+def test_poly_terms_json_of_route_values():
+    mixed = (X + Y.scale(GaussianInt(0, 1))) ** 5
+    for poly in (f_poly(4, 30), sequences.ROUTES["det-w"](3, 12), mixed):
+        assert cli.poly_terms_json(poly) == terms_json_by_terms(poly)
+
+
 # --- gen -----------------------------------------------------------------
 
 
@@ -321,6 +366,34 @@ def test_check_failure_stays_in_its_cell(capsys, monkeypatch):
     assert err == "FAIL at p=1, n=6: recurrence != det-m\n"
 
 
+def test_failing_cell_json_matches_per_cell_records(capsys, monkeypatch):
+    # with M corrupted from order 6 on, each line is still the record built
+    # from that cell's own five values, and a differing route carries its own
+    # terms rather than the recurrence's
+    monkeypatch.setattr(
+        sequences, "build_m", lambda p, n: build_m(p, n).scale_row(5, 2) if n > 5 else build_m(p, n)
+    )
+    code, out, _ = run(capsys, "check", "--p-max", "2", "--n-max", "8", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    expected = []
+    for p in (1, 2):
+        for n in range(1, 9):
+            report = sequences.cross_check(p, n)
+            values = {route: cli.poly_terms_json(v) for route, v in report.values.items()}
+            if n > 5:
+                assert report.first_mismatch == ("recurrence", "det-m")
+                assert values["det-m"] != values["recurrence"]
+            record = {
+                "p": p,
+                "n": n,
+                "all_equal": report.all_equal,
+                "first_mismatch": list(report.first_mismatch) if report.first_mismatch else None,
+                "values": values,
+            }
+            expected.append(json.dumps(record))
+    assert out.splitlines() == expected
+
+
 def test_check_closed_pipe_ends_quietly():
     # the output (about 150 kB) outgrows the pipe buffer, so the process is
     # still writing when the reader goes away
@@ -407,3 +480,22 @@ def test_matrix_h(capsys):
 def test_matrix_usage(capsys):
     assert run(capsys, "matrix", "--kind", "z", "--p", "1", "--order", "2")[0] == EXIT_USAGE
     assert run(capsys, "matrix", "--kind", "w", "--p", "0", "--order", "2")[0] == EXIT_USAGE
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # without site, the interpreter loads only what the CLI imports; none of
+    # the standard-library modules the CLI uses imports these three
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys, fibhess.cli;"
+        " print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
