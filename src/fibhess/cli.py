@@ -3,8 +3,8 @@
 Subcommands: ``gen`` (one polynomial by a chosen route), ``family``
 (named specializations), ``check`` (the five-way agreement grid), and
 ``matrix`` (print a built matrix).  The user-facing index n always means
-the n-th sequence term; matrix routes build the (n-1) x (n-1) matrix
-internally so every method answers the same question.
+the n-th sequence term; matrix routes give the det or per of the
+(n-1) x (n-1) matrix, so every method answers the same question.
 
 The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
 ``check`` takes each p's row of cells from ``sequences.cross_check_prefix``,

@@ -2,17 +2,18 @@
 
 The fast evaluators advance iteratively over leading principal minors:
 
-    det(A_m) = a_{m,m} det(A_{m-1})
-             + sum_{r<m} (-1)^{m-r} a_{m,r} (prod_{j=r}^{m-1} a_{j,j+1}) det(A_{r-1})
+    det(A_m) = sum_{r<=m} (-1)^{m-r} a_{m,r} (prod_{j=r}^{m-1} a_{j,j+1}) det(A_{r-1})
 
 with det(A_0) = 1, and the permanent satisfies the same recursion without
-the sign.  The inner sum runs over the nonzero entries of row m only,
-nearest the diagonal first, carrying the superdiagonal product along: a
-banded matrix costs O(n) large multiplications, a dense one O(n^2).  For
-det each superdiagonal entry is negated once up front, so the product of
-the i - r entries from column r carries the sign (-1)^(i-r).  Each row's
-(entry, superdiagonal product, minor) triples go to the kernel's
-``sum_of_products`` in one call, so a row builds one new value.
+the sign.  The diagonal is the term r = m, whose superdiagonal product is
+empty: a_{m,m} det(A_{m-1}).  The sum runs over the nonzero entries of row
+m only, the diagonal among them, nearest the diagonal first, carrying the
+superdiagonal product along: a banded matrix costs O(n) large
+multiplications, a dense one O(n^2).  For det each superdiagonal entry is
+negated once up front, so the product of the i - r entries from column r
+carries the sign (-1)^(i-r).  Each row's (entry, superdiagonal product,
+minor) triples go to the kernel's ``sum_of_products`` in one call, so a
+row builds one new value.
 
 The loop is written once over the ring's kernel interface, and the same
 read of the matrix's nonzeros that lists each row's entries picks the
@@ -34,9 +35,10 @@ same family at order k, so one pass over the order-n matrix gives the
 route values of every order up to n.
 
 A minor is dropped after the last row that reads it: minor c is read by
-row c and by every row with a nonzero in column c.  A matrix with one
-sub-diagonal band at offset p therefore holds p + 2 minors at a time, not
-n + 1, and memory is O(p * terms) instead of O(n * terms).
+every row with a nonzero in column c on or below the diagonal, row c's
+diagonal entry among them, and is kept at least through row c.  A matrix
+with one sub-diagonal band at offset p therefore holds p + 2 minors at a
+time, not n + 1, and memory is O(p * terms) instead of O(n * terms).
 
 The brute-force oracles (first-row Laplace expansion, permutation sum)
 ignore the Hessenberg structure entirely and exist to cross-check the
@@ -84,26 +86,26 @@ def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[object, Iterator]
 
 def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
     n, rows = a.n, a._rows
-    # below[i]: row i's nonzero (col, entry) pairs left of the diagonal,
-    # nearest the diagonal first
-    below = [
-        [(j, row[j]) for j in sorted(row, reverse=True) if j < i] for i, row in enumerate(rows)
+    # lower[i]: row i's nonzero (col, entry) pairs on or left of the
+    # diagonal, nearest the diagonal first
+    lower = [
+        [(j, row[j]) for j in sorted(row, reverse=True) if j <= i] for i, row in enumerate(rows)
     ]
     # superdiag[k] = a[k, k+1], negated for det: a product of i - c of them
     # then carries the sign (-1)^(i-c)
     superdiag = [ring.scalar(rows[k].get(k + 1, ZERO), signed) for k in range(n - 1)]
-    # last_read[c]: the last row that reads minor c (row c itself, or a
-    # later row with a nonzero in column c); minor n is never dropped
+    # last_read[c]: the last row that reads minor c (the last with a nonzero
+    # in lower column c, or row c itself if none); minor n is never dropped
     last_read = list(range(n + 1))
-    for i, entries in enumerate(below):
+    for i, entries in enumerate(lower):
         for c, _ in entries:
             last_read[c] = i
     minors = {0: ring.one}  # minors[k] = det/per of the leading k x k block
     yield ring.one
     for i in range(n):
-        triples = [(rows[i].get(i, ZERO), ring.unit, minors[i])]
+        triples = []
         prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
-        for c, entry in below[i]:
+        for c, entry in lower[i]:
             while k > c:
                 k -= 1
                 prod = ring.times(prod, superdiag[k])

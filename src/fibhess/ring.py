@@ -19,8 +19,8 @@ one-pair case, and a recursion step such as x*G(n-1) + y*G(n-p-1) is one
 call, so the step builds no intermediate product polynomials.
 
 The Hessenberg recursion of ``evaluators`` is written once over a small
-ring interface (one, unit, scalar, times, sum_of_products, poly) with two
-implementations: ``PolyKernel`` on ``BivarPoly`` itself, and
+ring interface (zero, one, unit, scalar, times, sum_of_products, poly)
+with two implementations: ``PolyKernel`` on ``BivarPoly`` itself, and
 ``GradedKernel`` on weighted-homogeneous values, where x has weight 1 and
 y weight w.  G(p, n), with a family's constants folded into its
 coefficients, and every leading minor of the W/M/H/K matrices are such
@@ -37,7 +37,7 @@ graded kernel when one y-weight fits them all, else ``PolyKernel``.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, mul
+from operator import add, attrgetter, mul
 
 # Exponent pair (xexp, yexp).  Tuple comparison gives the lexicographic
 # order used for canonical (descending) term ordering.
@@ -94,27 +94,31 @@ class Frozen:
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
 
+    def __init_subclass__(cls) -> None:
+        # _values: the tuple of the fields, read by one attrgetter made
+        # here; an attrgetter of one name gives the bare value, so a
+        # one-field class wraps it
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -129,6 +133,9 @@ class GaussianInt(Frozen):
     __slots__ = ("re", "im")
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
+        if not (isinstance(re, int) and isinstance(im, int)):
+            name, part = ("im", im) if isinstance(re, int) else ("re", re)
+            raise TypeError(f"{name} must be an int, got {part!r}")
         super().__init__(re, im)
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
@@ -178,8 +185,6 @@ def i_pow(p: int) -> GaussianInt:
 
 def _as_gaussian(c) -> GaussianInt:
     if isinstance(c, GaussianInt):
-        if not (isinstance(c.re, int) and isinstance(c.im, int)):
-            raise TypeError(f"Gaussian integer parts must be int, got {c!r}")
         return c
     if isinstance(c, int):
         return GaussianInt(c, 0)
@@ -397,7 +402,7 @@ class PolyKernel:
     over both kernels: a value and a scalar are ``BivarPoly`` too, and
     every product is ``*``."""
 
-    one = unit = ONE
+    zero, one, unit = ZERO, ONE, ONE
 
     @staticmethod
     def scalar(e: BivarPoly, negate: bool) -> BivarPoly:

@@ -9,14 +9,17 @@ brute-force oracles included, to a function of (p, n) that returns
 G(p, n); cross_check runs the five fast routes and compares each with the
 recurrence exactly.
 
-Each fast route also has a prefix form, ``ROUTES[name].prefix(p, n)``: the
-kernel it runs on and the raw values of G(p, 1..n) from one pass, the
-recurrence's terms or the leading minors of one order-(n-1) matrix (whose
-leading k x k block is the order-k matrix).  ``cross_check_prefix(p, n)``
-walks the five streams in lockstep and yields ``cross_check(p, k)`` for
-k = 1..n, converting only each cell's own values to ``BivarPoly``; the CLI
-grid runs on it.  A single value converts only its last term.  The
-oracles stay single-valued.
+A fast route is its stream, ``ROUTES[name].prefix(p, n)``: the kernel it
+runs on and the raw values of G(p, 1..n) from one pass, the recurrence's
+terms or the leading minors of orders 0..n-1 of one order-n matrix (whose
+leading k x k block is the order-k matrix; the stream stops before it
+computes order n).  Calling the route gives G(p, n), the stream's last
+value, the only one it converts to ``BivarPoly``; G(p, 0) = 0 is the value
+of the recurrence's empty stream, and ``f_poly`` is the recurrence route.
+``cross_check_prefix(p, n)`` walks the five streams in lockstep and yields
+``cross_check(p, k)`` for k = 1..n, converting only each cell's own values
+to ``BivarPoly``; the CLI grid runs on it.  The oracles stay
+single-valued.
 
 Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
@@ -38,9 +41,9 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import islice
 
-from .evaluators import det_hessenberg, det_oracle, leading_minors, per_hessenberg, per_oracle
+from .evaluators import det_oracle, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, Frozen, GradedKernel, PolyKernel, check_count
+from .ring import ONE, X, Y, BivarPoly, Frozen, GradedKernel, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -71,14 +74,15 @@ def _graded_terms(p: int, n: int, cx=(1, 0), cy=(1, 0), y=Y) -> Iterator:
     return _recurrence(p, n, lambda last, back: step(((X, cx, last), (y, cy, back))), zero, one)
 
 
-def _last(terms: Iterator):
-    return deque(terms, maxlen=1)[0]
+def _last(terms: Iterator, empty=None):
+    """The last of ``terms``, or ``empty`` if there is none."""
+    tail = deque(terms, maxlen=1)
+    return tail[0] if tail else empty
 
 
 def f_poly(p: int, n: int) -> BivarPoly:
     """n-th term of the coefficiented recurrence for parameter p."""
-    _check_args(p, n)
-    return GradedKernel(p + 1).poly(_last(_graded_terms(p, n)), n - 1)
+    return ROUTES["recurrence"](p, n)
 
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
@@ -196,29 +200,31 @@ _Value = Callable[[int, int], BivarPoly]
 
 
 class _Route(Frozen):
-    """A fast route.  Calling it gives G(p, n); ``prefix(p, n)`` gives the
-    kernel it runs on and an iterator over the raw values of G(p, 1..n),
-    all from one recursion, G(p, k) being ``ring.poly(value, k - 1)``."""
+    """A fast route, as its stream: ``prefix(p, n)`` gives the kernel it
+    runs on and an iterator over the raw values of G(p, 1..n), all from one
+    recursion, G(p, k) being ``ring.poly(value, k - 1)``.  Calling the route
+    gives G(p, n), the stream's last value; the recurrence's empty stream at
+    n = 0 gives G(p, 0) = 0."""
 
-    __slots__ = ("value", "prefix")
+    __slots__ = ("prefix",)
 
-    def __init__(
-        self, value: _Value, prefix: Callable[[int, int], tuple[object, Iterator]]
-    ) -> None:
-        super().__init__(value, prefix)
+    def __init__(self, prefix: Callable[[int, int], tuple[object, Iterator]]) -> None:
+        super().__init__(prefix)
 
     def __call__(self, p: int, n: int) -> BivarPoly:
-        return self.value(p, n)
+        ring, values = self.prefix(p, n)
+        return ring.poly(_last(values, ring.zero), n - 1)
 
 
 def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:
-    _check_args(p, n, n_min=1)
+    _check_args(p, n)
     return GradedKernel(p + 1), islice(_graded_terms(p, n), 1, None)
 
 
 def _on_matrix(evaluate: _Value) -> _Value:
-    """A route to G(p, n) through ``evaluate`` of the order-(n-1) matrices;
-    the empty order-0 matrix has det = per = 1 and needs no matrix object."""
+    """An oracle route to G(p, n) through ``evaluate`` of the order-(n-1)
+    matrices; the empty order-0 matrix has det = per = 1 and needs no
+    matrix object."""
 
     def route(p: int, n: int) -> BivarPoly:
         _check_args(p, n, n_min=1)
@@ -228,32 +234,28 @@ def _on_matrix(evaluate: _Value) -> _Value:
 
 
 def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -> _Route:
-    """The route through det (``signed``) or per of build(p, n - 1).  The
-    leading k x k block of that matrix is build(p, k), so its minors of
-    orders 0..n-1 are G(p, 1..n)."""
+    """The route through det (``signed``) or per of build(p, n - 1).  Its
+    stream reads the leading minors of build(p, n), whose k x k block is
+    build(p, k): the minors of orders 0..n-1 are G(p, 1..n), and the stream
+    stops before it computes order n.  The builder checks p and n."""
 
     def prefix(p: int, n: int) -> tuple[object, Iterator]:
-        _check_args(p, n, n_min=1)
-        if n == 1:
-            return PolyKernel, iter((ONE,))
-        return leading_minors(build(p, n - 1), signed)
+        ring, minors = leading_minors(build(p, n), signed)
+        return ring, islice(minors, n)
 
-    return _Route(
-        _on_matrix(lambda p, order: (det_hessenberg if signed else per_hessenberg)(build(p, order))),
-        prefix,
-    )
+    return _Route(prefix)
 
 
-# Route name -> fn(p, n) returning G(p, n); the fast routes also stream
-# G(p, 1..n).  The lambdas and the routes look up the builders and
-# evaluators in this module's globals at call time, so that a name rebound
-# here (a patched builder, a traced evaluator) is used.
+# Route name -> fn(p, n) returning G(p, n); the fast routes are their
+# streams of G(p, 1..n).  The builder lambdas and the oracle routes look up
+# the builders and oracles in this module's globals at call time, so that a
+# name rebound here (a patched builder, a traced oracle) is used.
 ROUTES: dict[str, _Value] = {
-    "recurrence": _Route(lambda p, n: f_poly(p, n), _recurrence_prefix),
-    "det-w": _matrix_route(lambda p, order: build_w(p, order), signed=True),
-    "det-m": _matrix_route(lambda p, order: build_m(p, order), signed=True),
-    "per-h": _matrix_route(lambda p, order: build_h(p, order), signed=False),
-    "per-k": _matrix_route(lambda p, order: build_k(p, order), signed=False),
+    "recurrence": _Route(_recurrence_prefix),
+    "det-w": _matrix_route(lambda p, n: build_w(p, n), signed=True),
+    "det-m": _matrix_route(lambda p, n: build_m(p, n), signed=True),
+    "per-h": _matrix_route(lambda p, n: build_h(p, n), signed=False),
+    "per-k": _matrix_route(lambda p, n: build_k(p, n), signed=False),
     "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order))),
     "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order))),
 }

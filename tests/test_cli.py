@@ -127,7 +127,7 @@ def test_gen_methods_agree(capsys, method):
 
 
 def test_gen_matrix_method_at_n1(capsys):
-    # order-0 matrix edge case: det = per = 1
+    # n = 1 reads only the order-0 minor, the empty block: det = per = 1
     code, out, _ = run(capsys, "gen", "--p", "2", "--n", "1", "--method", "per-k")
     assert code == EXIT_OK
     assert out.strip() == "1"

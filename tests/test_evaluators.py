@@ -239,6 +239,22 @@ def test_recursion_matches_oracles_on_general_matrices():
     assert zero_diag > 0 and zero_super > 0
 
 
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+def test_graded_recursion_with_zero_diagonal_entries_matches_oracles(build):
+    # a zero diagonal entry is no entry of its row: the row's sum runs over
+    # the band and the superdiagonal products alone.  The matrices stay
+    # graded, so this runs the graded kernel (the general matrices above
+    # run PolyKernel)
+    for p, n, zeros in ((1, 6, {0, 3}), (2, 7, {1, 2, 6}), (3, 8, set(range(8)))):
+        rows = [dict(row) for row in build(p, n)._rows]
+        for i in zeros:
+            del rows[i][i]
+        a = HessenbergMatrix._from_nonzeros(rows)
+        assert isinstance(evaluators.leading_minors(a, True)[0], ring.GradedKernel)
+        assert det_hessenberg(a) == det_oracle(a), (p, n, zeros)
+        assert per_hessenberg(a) == per_oracle(a), (p, n, zeros)
+
+
 def test_recursion_keeps_only_the_minors_it_will_read():
     # a banded matrix needs only the last p + 2 minors; keeping all n + 1
     # peaks at about 15 MiB here

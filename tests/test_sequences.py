@@ -6,8 +6,9 @@ import tracemalloc
 import pytest
 
 import fibhess.sequences as sequences
-from fibhess.matrices import HessenbergMatrix, build_w
-from fibhess.ring import ONE, X, Y, BivarPoly, GaussianInt, ZERO
+from fibhess.evaluators import det_hessenberg, per_hessenberg
+from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
+from fibhess.ring import ONE, X, Y, BivarPoly, GaussianInt, GradedKernel, ZERO
 from fibhess.sequences import (
     FAMILIES,
     FamilySpec,
@@ -347,7 +348,8 @@ FAST_ROUTES = ("recurrence", "det-w", "det-m", "per-h", "per-k")
 
 @pytest.mark.parametrize("name", FAST_ROUTES)
 def test_route_prefix_matches_each_order(name):
-    # one pass gives G(p, 1..n); n = 1 is the order-0 matrix
+    # one pass gives G(p, 1..n); at n = 1 a matrix stream reads only the
+    # order-0 minor of the order-1 matrix
     route = sequences.ROUTES[name]
     for p in range(1, 5):
         expected = [route(p, k) for k in range(1, 21)]
@@ -355,6 +357,56 @@ def test_route_prefix_matches_each_order(name):
             ring, values = route.prefix(p, n)
             got = [ring.poly(v, k - 1) for k, v in enumerate(values, 1)]
             assert got == expected[:n], (p, n)
+
+
+MATRIX_ROUTES = {
+    "det-w": (build_w, det_hessenberg),
+    "det-m": (build_m, det_hessenberg),
+    "per-h": (build_h, per_hessenberg),
+    "per-k": (build_k, per_hessenberg),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_ROUTES)
+def test_matrix_route_is_the_evaluator_of_the_order_n_minus_1_matrix(name):
+    # the stream's last term is the det or per of the whole order-(n-1)
+    # matrix, and the empty order-0 matrix gives 1
+    build, evaluate = MATRIX_ROUTES[name]
+    route = sequences.ROUTES[name]
+    for p in range(1, 5):
+        assert route(p, 1) == ONE
+        for n in range(2, 31):
+            assert route(p, n) == evaluate(build(p, n - 1)), (p, n)
+
+
+def test_f_poly_is_the_recurrence_route():
+    # G(p, 0) = 0 is the value of the recurrence's empty stream
+    route = sequences.ROUTES["recurrence"]
+    for p in range(1, 5):
+        terms = f_poly_prefix(p, 30)
+        assert route(p, 0) == f_poly(p, 0) == terms[0] == ZERO
+        for n in range(1, 31):
+            assert f_poly(p, n) == route(p, n) == terms[n], (p, n)
+
+
+@pytest.mark.parametrize("name", MATRIX_ROUTES)
+def test_matrix_stream_stops_before_order_n(monkeypatch, name):
+    # minors 1..n-1 take one kernel step each; minor n of build(p, n) is
+    # never computed
+    steps = []
+    step = GradedKernel.sum_of_products
+
+    def counted(triples):
+        steps.append(1)
+        return step(triples)
+
+    monkeypatch.setattr(GradedKernel, "sum_of_products", staticmethod(counted))
+    for p in (1, 3):
+        for n in (1, 2, 5, 17):
+            steps.clear()
+            _, values = sequences.ROUTES[name].prefix(p, n)
+            assert len(list(values)) == n
+            assert len(steps) == n - 1, (p, n)
 
 
 def test_cross_check_prefix_matches_each_cell():
