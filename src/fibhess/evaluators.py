@@ -15,10 +15,11 @@ carries the sign (-1)^(i-r).  Each row's (entry, superdiagonal product,
 minor) triples go to the kernel's ``sum_of_products`` in one call, so a
 row builds one new value.
 
-The loop is written once over the ring's kernel interface, and the same
-read of the matrix's nonzeros that lists each row's entries picks the
-kernel: ``ring.kernel_for`` gets each entry (i, j) with its degree
-i - j + 1.  A graded matrix (every entry weighted-homogeneous of that
+The loop is written once over the ring's kernel interface.  The kernel is
+picked before the loop starts: ``leading_minors`` passes
+``ring.kernel_for`` each nonzero entry (i, j) with its degree i - j + 1,
+and ``_recursion`` then reads the rows a second time to list each row's
+entries.  A graded matrix (every entry weighted-homogeneous of that
 degree, with y of weight w; all four families are, with w = p + 1) runs on
 ``GradedKernel``: its superdiagonal entries are then Gaussian scalars, so
 the carried product is a pair of ints, and its minors are dense

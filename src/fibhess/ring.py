@@ -8,9 +8,13 @@ as an integer polynomial in x, y and i reduced by i^2 = -1: a term map
 x^xexp y^yexp is held as a at iexp 0 and b at iexp 1.  The map never holds
 a zero, so equality is plain structural equality, and add, mul and neg are
 loops over plain ints.  ``GaussianInt`` values are built only at the
-boundary: constructor input, ``terms()``, ``coeff()`` and ``eval_at``;
-``term_parts()`` reads the same terms as plain ints.  ``GaussianInt`` and
-the library's other record types share one immutable base, ``Frozen``.
+boundary: constructor and ``scale`` input, ``terms()`` (which
+``substitute`` reads), ``coeff()`` and ``eval_at``.  ``term_parts()``
+reads the same terms as plain ints, and ``str()`` renders from it: one
+formatter writes re + im*i for a ``GaussianInt`` and for a polynomial's
+coefficients alike.  A bool part or exponent is accepted as an int and
+stored as a plain int.  ``GaussianInt`` and the library's other record
+types share one immutable base, ``Frozen``.
 
 All ``BivarPoly`` multiplication goes through one kernel,
 ``sum_of_products``: it adds the products of any number of pairs into one
@@ -136,7 +140,7 @@ class GaussianInt(Frozen):
         if not (isinstance(re, int) and isinstance(im, int)):
             name, part = ("im", im) if isinstance(re, int) else ("re", re)
             raise TypeError(f"{name} must be an int, got {part!r}")
-        super().__init__(re, im)
+        super().__init__(int(re), int(im))
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         if not isinstance(other, GaussianInt):
@@ -163,11 +167,7 @@ class GaussianInt(Frozen):
         return _power(self, k, GI_ONE)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        mag = abs(self.im)
-        imag = ("-" if self.im < 0 else "+") + ("i" if mag == 1 else f"{mag}i")
-        return imag.lstrip("+") if self.re == 0 else f"{self.re}{imag}"
+        return _gaussian_str(self.re, self.im)
 
 
 GI_ZERO = GaussianInt(0, 0)
@@ -210,7 +210,7 @@ class BivarPoly:
                 c = _as_gaussian(coeff)
                 for ie, part in ((0, c.re), (1, c.im)):
                     if part:
-                        canonical[(xe, ye, ie)] = part
+                        canonical[(int(xe), int(ye), ie)] = part
         self._terms = canonical
 
     # --- constructors -------------------------------------------------
@@ -313,20 +313,19 @@ class BivarPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts: list[str] = []
-        for (xe, ye), c in self.terms():
-            body = "*".join(
-                s
-                for s in (_var_str("x", xe), _var_str("y", ye))
-                if s
-            )
-            coeff_str, sign = _coeff_str(c, bool(body))
-            term = f"{coeff_str}*{body}" if (coeff_str and body) else (coeff_str or body or "1")
-            if not parts:
-                parts.append(term if sign >= 0 else f"-{term}")
+        parts = []
+        for xe, ye, re, im in self.term_parts():
+            names = [s for s in (_var_str("x", xe), _var_str("y", ye)) if s]
+            # a real or purely imaginary coefficient gives its sign to the
+            # join; a mixed one keeps it inside parentheses
+            if re and im:
+                sign, coeff = "+", f"({_gaussian_str(re, im)})"
             else:
-                parts.append(f"{'+' if sign >= 0 else '-'} {term}")
-        return " ".join(parts)
+                sign, coeff = "-" if re + im < 0 else "+", _gaussian_str(abs(re), abs(im))
+            factors = names if coeff == "1" and names else [coeff, *names]
+            parts.append(f"{sign} {'*'.join(factors)}")
+        text = " ".join(parts)  # the first term keeps only a minus, unspaced
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"BivarPoly({self})"
@@ -340,23 +339,12 @@ def _var_str(name: str, exp: int) -> str:
     return f"{name}^{exp}"
 
 
-def _coeff_str(c: GaussianInt, has_vars: bool) -> tuple[str, int]:
-    """Render a coefficient for one term; returns (text, sign).
-
-    The sign is pulled out for real and purely imaginary coefficients so
-    terms join with " + " / " - "; mixed complex coefficients keep sign
-    inside parentheses.
-    """
-    if c.im == 0:
-        sign = 1 if c.re >= 0 else -1
-        mag = abs(c.re)
-        if mag == 1 and has_vars:
-            return "", sign
-        return str(mag), sign
-    if c.re == 0:
-        sign = 1 if c.im >= 0 else -1
-        return str(GaussianInt(0, abs(c.im))), sign
-    return f"({c})", 1
+def _gaussian_str(re: int, im: int) -> str:
+    """re + im*i as text: "2+3i", "1-i", "5", "i", "-2i"."""
+    if not im:
+        return str(re)
+    imag = ("-" if im < 0 else "+") + ("i" if abs(im) == 1 else f"{abs(im)}i")
+    return imag.lstrip("+") if not re else f"{re}{imag}"
 
 
 def sum_of_products(pairs) -> BivarPoly:

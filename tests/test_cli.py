@@ -74,11 +74,14 @@ def terms_json_by_terms(poly):
                 {"xexp": 0, "yexp": 3, "re": "2", "im": "-5"},
             ],
         ),
+        (BivarPoly({(True, 0): True}), [{"xexp": 1, "yexp": 0, "re": "1", "im": "0"}]),
     ],
-    ids=["zero", "real", "imaginary", "mixed"],
+    ids=["zero", "real", "imaginary", "mixed", "bool"],
 )
 def test_poly_terms_json_edge_cases(poly, expected):
     assert cli.poly_terms_json(poly) == expected == terms_json_by_terms(poly)
+    # True == 1, so compare the encoded text too: exponents are JSON ints
+    assert json.dumps(cli.poly_terms_json(poly)) == json.dumps(expected)
 
 
 def test_poly_terms_json_of_route_values():

@@ -37,6 +37,10 @@ def test_w_example_matrix():
     assert a[2, 0] == ZERO
 
 
+def test_w_renders_its_imaginary_entries():
+    assert str(build_w(1, 3)) == "[x, i, 0]\n[i*y, x, i]\n[0, i*y, x]"
+
+
 def test_w_band_offset_two():
     a = build_w(2, 4)
     assert a[2, 0] == -Y  # i^2 y

@@ -27,6 +27,20 @@ def poly(terms):
     return BivarPoly(terms)
 
 
+@pytest.fixture
+def gaussian_ints_built(monkeypatch):
+    """The argument tuple of every GaussianInt built from here on."""
+    built = []
+    init = GaussianInt.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianInt, "__init__", counting_init)
+    return built
+
+
 # --- GaussianInt -------------------------------------------------------
 
 
@@ -52,6 +66,7 @@ def test_gaussian_str():
     assert str(GaussianInt(0, -2)) == "-2i"
     assert str(GaussianInt(5, 0)) == "5"
     assert str(GaussianInt(1, -1)) == "1-i"
+    assert str(GaussianInt(True, 0)) == "1"
 
 
 def test_gaussian_pow():
@@ -158,6 +173,16 @@ def test_non_int_gaussian_part_rejected(coeff, message):
     # so no BivarPoly, scale or product can receive one
     with pytest.raises(TypeError, match=f"^{message}$"):
         GaussianInt(*coeff)
+
+
+def test_bool_input_is_stored_as_int():
+    # a bool counts as an int, but what is stored is a plain int, so no
+    # True leaks into text or JSON
+    c = GaussianInt(True, False)
+    assert (type(c.re), type(c.im)) == (int, int) and c == GaussianInt(1, 0)
+    p = BivarPoly({(True, False): True})
+    assert p == X and [type(v) for v in p.term_parts()[0]] == [int] * 4
+    assert str(p) == "x"
 
 
 @pytest.mark.parametrize(
@@ -287,6 +312,43 @@ def test_render_zero_and_units():
     assert str(BivarPoly.constant(GaussianInt(1, 2)) * X) == "(1+2i)*x"
 
 
+MIXED, NEG_I = GaussianInt(2, -3), GaussianInt(0, -1)
+
+
+@pytest.mark.parametrize(
+    "terms, text",
+    [
+        ({(0, 0): MIXED}, "(2-3i)"),
+        ({(1, 0): 1, (0, 0): MIXED}, "x + (2-3i)"),
+        ({(1, 0): MIXED}, "(2-3i)*x"),
+        ({(1, 0): 1, (0, 0): GaussianInt(-1, -1)}, "x + (-1-i)"),
+        ({(1, 0): GaussianInt(1, 1), (0, 1): 1}, "(1+i)*x + y"),
+        ({(0, 0): NEG_I}, "-i"),
+        ({(1, 0): 1, (0, 0): NEG_I}, "x - i"),
+        ({(1, 0): NEG_I}, "-i*x"),
+        ({(1, 0): GaussianInt(0, 2), (0, 1): 1}, "2i*x + y"),
+        ({(1, 0): 1, (0, 0): GaussianInt(0, -2)}, "x - 2i"),
+        ({(2, 1): GaussianInt(0, 10**30)}, f"{10**30}i*x^2*y"),
+        ({(1, 0): 1, (0, 0): -1}, "x - 1"),
+        ({(0, 3): -2, (0, 0): 3}, "-2*y^3 + 3"),
+        ({(0, 0): -1}, "-1"),
+    ],
+)
+def test_render_each_coefficient_shape(terms, text):
+    # real and purely imaginary coefficients give their sign to the join,
+    # a mixed one keeps it inside parentheses; a unit coefficient of a
+    # monomial is left out
+    assert str(poly(terms)) == text
+
+
+def test_render_builds_no_gaussian_ints(gaussian_ints_built):
+    # str() reads the plain-int terms, as JSON output does
+    p = poly({(2, 0): 3, (1, 1): GaussianInt(0, -2), (0, 1): GaussianInt(1, 1), (0, 0): -1})
+    gaussian_ints_built.clear()
+    assert str(p) == "3*x^2 - 2i*x*y + (1+i)*y - 1"
+    assert gaussian_ints_built == []
+
+
 # --- ring laws (random) ---------------------------------------------------
 
 coeffs = st.builds(
@@ -367,18 +429,11 @@ def test_substitute_identity_property(a):
     assert a.substitute(X, Y) == a
 
 
-def test_ring_hot_path_builds_no_gaussian_ints(monkeypatch):
+def test_ring_hot_path_builds_no_gaussian_ints(gaussian_ints_built):
     # coefficients are plain ints inside the ring; GaussianInt is built only
     # at its boundary (input, terms(), coeff(), eval_at)
     w, h = build_w(2, 60), build_h(2, 60)
-    built = []
-    init = GaussianInt.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(GaussianInt, "__init__", counting_init)
+    gaussian_ints_built.clear()
     values = f_poly(2, 60), det_hessenberg(w), per_hessenberg(h)
-    assert built == []
+    assert gaussian_ints_built == []
     assert values[1] == values[2] == f_poly(2, 61)
