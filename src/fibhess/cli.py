@@ -107,7 +107,7 @@ def _cmd_family(args) -> int:
     try:
         spec = get_family(args.name)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(exc.args[0]) from None
     if args.p is not None:
         _require_at_least("--p", args.p, 1)
     elif spec.p is None:

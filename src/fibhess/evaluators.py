@@ -35,11 +35,12 @@ leading k x k block of each of the four matrix families at order n is the
 same family at order k, so one pass over the order-n matrix gives the
 route values of every order up to n.
 
-A minor is dropped after the last row that reads it: minor c is read by
-every row with a nonzero in column c on or below the diagonal, row c's
-diagonal entry among them, and is kept at least through row c.  A matrix
-with one sub-diagonal band at offset p therefore holds p + 2 minors at a
-time, not n + 1, and memory is O(p * terms) instead of O(n * terms).
+A minor is kept only while a later row reads it: minor c is read by every
+row with a nonzero in column c on or below the diagonal, row c's diagonal
+entry among them, and is freed at its last read.  A computed minor that
+no row reads, minor n among them, is never kept.  A matrix with one
+sub-diagonal band at offset p therefore holds p + 1 minors between rows,
+not n + 1, and memory is O(p * terms) instead of O(n * terms).
 
 The brute-force oracles (first-row Laplace expansion, permutation sum)
 ignore the Hessenberg structure entirely and exist to cross-check the
@@ -95,13 +96,11 @@ def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
     # superdiag[k] = a[k, k+1], negated for det: a product of i - c of them
     # then carries the sign (-1)^(i-c)
     superdiag = [ring.scalar(rows[k].get(k + 1, ZERO), signed) for k in range(n - 1)]
-    # last_read[c]: the last row that reads minor c (the last with a nonzero
-    # in lower column c, or row c itself if none); minor n is never dropped
-    last_read = list(range(n + 1))
-    for i, entries in enumerate(lower):
-        for c, _ in entries:
-            last_read[c] = i
-    minors = {0: ring.one}  # minors[k] = det/per of the leading k x k block
+    # last_read[c]: the last row with a nonzero in lower column c, the last
+    # to read minor c; a minor no row reads has no key
+    last_read = {c: i for i, entries in enumerate(lower) for c, _ in entries}
+    # minors[k] = det/per of the leading k x k block, kept until its last read
+    minors = {0: ring.one}
     yield ring.one
     for i in range(n):
         triples = []
@@ -110,11 +109,11 @@ def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
             while k > c:
                 k -= 1
                 prod = ring.times(prod, superdiag[k])
-            triples.append((entry, prod, minors[c]))
-        minors[i + 1] = ring.sum_of_products(triples)
-        yield minors[i + 1]
-        for c in [c for c in minors if last_read[c] == i]:
-            del minors[c]
+            triples.append((entry, prod, minors.pop(c) if last_read[c] == i else minors[c]))
+        minor = ring.sum_of_products(triples)
+        if i + 1 in last_read:
+            minors[i + 1] = minor
+        yield minor
 
 
 def _whole(a: HessenbergMatrix, signed: bool) -> BivarPoly:

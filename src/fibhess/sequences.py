@@ -56,9 +56,11 @@ def _recurrence(p: int, n: int, step: Callable[[object, object], object], zero, 
     with G(1) = ``one`` and G(k) = ``zero`` for k <= 0, in the ring of
     ``zero`` and ``one`` (graded values, or int for fib_p_number).  Terms
     2..p+1 need no branch of their own: their G(k-p-1) is zero.  The
-    arguments are not checked.  Only the last p+1 terms are held, so taking
-    just the n-th keeps memory O(p) terms."""
-    window = deque([zero] * p + [one], maxlen=p + 1)  # G(k-p-1) .. G(k-1)
+    arguments are not checked.  At most min(p, n) + 1 terms are held, so
+    taking just the n-th keeps memory O(min(p, n)) terms: for n < p every
+    G(k-p-1) read is zero, and so is G(k-n-1), which is read in its place."""
+    lag = min(p, n)
+    window = deque([zero] * lag + [one], maxlen=lag + 1)  # G(k-lag-1) .. G(k-1)
     yield from islice((zero, one), n + 1)
     for _ in range(2, n + 1):
         window.append(step(window[-1], window[0]))

@@ -99,6 +99,13 @@ def test_gen_text(capsys):
     assert out.strip() == "x^5 + 2*x*y"
 
 
+def test_gen_p_far_beyond_n(capsys):
+    # the recurrence holds n + 1 terms when p > n, so p may exceed any
+    # container's size
+    code, out, err = run(capsys, "gen", "--p", "99999999999999999999", "--n", "3")
+    assert (code, out, err) == (EXIT_OK, "x^2\n", "")
+
+
 def test_gen_zero_term(capsys):
     code, out, _ = run(capsys, "gen", "--p", "1", "--n", "0", "--method", "recurrence")
     assert code == EXIT_OK
@@ -214,7 +221,8 @@ def test_family_with_p(capsys):
 def test_family_unknown_lists_names(capsys):
     code, _, err = run(capsys, "family", "--name", "lucas", "--n", "3")
     assert code == EXIT_USAGE
-    assert "pell-numbers" in err
+    available = ", ".join(sorted(sequences.FAMILIES))
+    assert err == f"error: unknown family 'lucas'; available: {available}\n"
 
 
 def test_family_missing_p(capsys):

@@ -102,7 +102,63 @@ def test_budget_checks_its_caps_when_made(cap, value, error):
         EvalBudget(**{cap: value})
 
 
-@pytest.mark.parametrize("builder", BUILDERS)
+# sparse shapes: minors that no row reads, and rows that read no minor
+
+
+def hessenberg_positions(n):
+    return {(i, j) for i in range(n) for j in range(min(i + 2, n))}
+
+
+def superdiagonal_only(n):
+    return {(i, i + 1) for i in range(n - 1)}
+
+
+def middle_row_reads_nothing(n):
+    return {(i, j) for i, j in hessenberg_positions(n) if i != n // 2 or j > i}
+
+
+def empty_last_row(n):
+    return {(i, j) for i, j in hessenberg_positions(n) if i < n - 1}
+
+
+def zero_diagonal_full_first_column(n):
+    # minors 1..n are never read
+    return {(i, 0) for i in range(n)} | superdiagonal_only(n)
+
+
+def shaped(shape, graded):
+    """A builder (p, n) of the order-n matrix with a nonzero at each (i, j)
+    of ``shape(n)``: c*x^d, plus c*x^(d-p-1)*y if d > p, of weight
+    d = i - j + 1 (a Gaussian scalar c on the superdiagonal), which runs on
+    the graded kernel; unless ``graded``, x is added on the superdiagonal
+    and 1 below it, which runs on PolyKernel."""
+
+    def build(p, n):
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, j in shape(n):
+            d, c = i - j + 1, GaussianInt(1 + (i + j) % 3, (i - j) % 3 - 1)
+            entry = P({(d, 0): c, (d - p - 1, 1): c} if d > p else {(d, 0): c})
+            rows[i][j] = entry if graded else entry + (X if d == 0 else ONE)
+        return HessenbergMatrix(rows)
+
+    build.__name__ = f"{shape.__name__}_{'graded' if graded else 'poly'}"
+    build.graded = graded
+    return build
+
+
+SHAPED = [
+    shaped(shape, graded)
+    for shape in (
+        superdiagonal_only,
+        middle_row_reads_nothing,
+        empty_last_row,
+        zero_diagonal_full_first_column,
+    )
+    for graded in (True, False)
+]
+
+
+@pytest.mark.parametrize("builder", BUILDERS + SHAPED)
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_oracle_equivalence_grid(builder, p, n):
@@ -255,24 +311,10 @@ def test_graded_recursion_with_zero_diagonal_entries_matches_oracles(build):
         assert per_hessenberg(a) == per_oracle(a), (p, n, zeros)
 
 
-def test_recursion_keeps_only_the_minors_it_will_read():
-    # a banded matrix needs only the last p + 2 minors; keeping all n + 1
-    # peaks at about 15 MiB here
-    w, h = build_w(1, 600), build_h(1, 600)
-    for evaluate, a in ((det_hessenberg, w), (per_hessenberg, h)):
-        tracemalloc.start()
-        try:
-            evaluate(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20, (evaluate.__name__, peak)
-
-
-@pytest.mark.parametrize("n", [4, 6, 8])
-def test_minor_zero_read_by_the_last_row(n):
-    # band at offset 2 plus an entry in column 0 of the last row: minor 0
-    # (the empty block, 1) is read by rows 0, 2 and n - 1
+def far_entry_matrix(n):
+    """A band at offset 2 plus an entry in column 0 of the last row: minor
+    0 (the empty block, 1) is read by rows 0, 2 and n - 1.  Its diagonal,
+    x plus the row index, makes it run on PolyKernel."""
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = X + BivarPoly.constant(i)
@@ -281,7 +323,29 @@ def test_minor_zero_read_by_the_last_row(n):
         if i >= 2:
             rows[i][i - 2] = Y.scale(i)
     rows[n - 1][0] = Y + ONE
-    a = HessenbergMatrix(rows)
+    return HessenbergMatrix(rows)
+
+
+def test_recursion_keeps_only_the_minors_it_will_read():
+    # a banded matrix needs only the last p + 1 minors between rows;
+    # keeping all n + 1 peaks at about 15 MiB for W and H, and keeping a
+    # window from the farthest entry to the diagonal at about 8.7 MiB for
+    # the far-entry matrix
+    w, h, far = build_w(1, 600), build_h(1, 600), far_entry_matrix(80)
+    cases = ((det_hessenberg, w), (per_hessenberg, h), (det_hessenberg, far), (per_hessenberg, far))
+    for evaluate, a in cases:
+        tracemalloc.start()
+        try:
+            evaluate(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, (evaluate.__name__, a.n, peak)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_minor_zero_read_by_the_last_row(n):
+    a = far_entry_matrix(n)
     assert det_hessenberg(a) == det_oracle(a)
     assert per_hessenberg(a) == per_oracle(a)
 
@@ -391,6 +455,12 @@ def test_ungraded_matrices_match_oracles(make, p):
         assert graded_weight(a) is None
         assert det_hessenberg(a) == det_oracle(a)
         assert per_hessenberg(a) == per_oracle(a)
+
+
+@pytest.mark.parametrize("builder", SHAPED, ids=lambda b: b.__name__)
+def test_shaped_matrices_run_on_the_kernel_they_name(builder):
+    for n in range(2, 8):
+        assert (graded_weight(builder(2, n)) is not None) == builder.graded, n
 
 
 def test_random_general_matrices_are_mostly_ungraded():

@@ -389,6 +389,25 @@ def test_f_poly_is_the_recurrence_route():
             assert f_poly(p, n) == route(p, n) == terms[n], (p, n)
 
 
+def test_p_far_beyond_n():
+    # for n <= p every G(k-p-1) the recurrence reads is zero, so it holds
+    # n + 1 terms, not p + 1: a p past any container's size still works,
+    # and G(p, n) = x^(n-1)
+    huge = 10**20
+    assert f_poly(huge, 3) == X**2
+    assert fib_p_number(huge, 5) == 1
+    assert family_value(get_family("fibonacci-p-poly"), 4, p=huge) == X**3
+    assert cross_check(huge, 4).all_equal
+    # a window of p + 1 terms peaks at about 16 MB here
+    tracemalloc.start()
+    try:
+        f_poly(10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 @pytest.mark.parametrize("name", MATRIX_ROUTES)
 def test_matrix_stream_stops_before_order_n(monkeypatch, name):
     # minors 1..n-1 take one kernel step each; minor n of build(p, n) is
