@@ -15,6 +15,11 @@ polynomial sequence.  A matrix keeps only its nonzero entries (about 3n
 of them here), so building and storing one costs O(n), not O(n^2).
 Whether a matrix is graded, and so runs on the ring's graded kernel, is
 found by the evaluators from the entries they read, not stored here.
+
+A matrix is checked once, where it comes in from outside: the dense
+constructor ``HessenbergMatrix(entries)`` checks its shape and its entry
+types.  The builders' own rows, and the rows ``scale_row`` makes, are
+stored as made and not re-checked.
 """
 
 from __future__ import annotations
@@ -33,62 +38,63 @@ class HessenbergMatrix:
     and ``str()`` build the dense view on demand.
     """
 
-    __slots__ = ("_rows", "_n")
+    __slots__ = ("_rows",)
 
     def __init__(self, entries):
         rows = [dict(enumerate(row)) for row in entries]
-        if any(len(row) != len(rows) for row in rows):
-            raise ShapeError("matrix must be square")
-        self._init(rows)
-
-    @classmethod
-    def _from_nonzeros(cls, rows: list[dict]) -> "HessenbergMatrix":
-        a = cls.__new__(cls)
-        a._init(rows)
-        return a
-
-    def _init(self, rows: list[dict]) -> None:
         n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ShapeError("matrix must be square")
         if n == 0:
             raise ShapeError("matrix order must be at least 1")
         for i, row in enumerate(rows):
             for j, e in row.items():
                 if not isinstance(e, BivarPoly):
                     raise TypeError("entries must be BivarPoly")
-                if not 0 <= j < n:
-                    raise ShapeError("matrix must be square")
                 if j - i > 1 and not e.is_zero():
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
         self._rows = tuple({j: e for j, e in r.items() if not e.is_zero()} for r in rows)
-        self._n = n
+
+    @classmethod
+    def _from_nonzeros(cls, rows) -> "HessenbergMatrix":
+        """Matrix stored as ``rows`` are given, with no check: one
+        ``{col: entry}`` map per row, at least one row, each entry a
+        nonzero BivarPoly in the lower-Hessenberg shape.  Only the
+        library's own rows (the builders', ``scale_row``'s) come here."""
+        a = cls.__new__(cls)
+        a._rows = tuple(rows)
+        return a
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> BivarPoly:
         """Entry at 0-based (row, col)."""
-        i, j = ij
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (isinstance(ij, tuple) and len(ij) == 2 and all(isinstance(k, int) for k in ij)):
             raise TypeError(f"index must be a pair of ints, got {ij!r}")
-        if not (0 <= i < self._n and 0 <= j < self._n):
-            raise IndexError(f"entry ({i}, {j}) outside a matrix of order {self._n}")
+        i, j = ij
+        n = len(self._rows)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"entry ({i}, {j}) outside a matrix of order {n}")
         return self._rows[i].get(j, ZERO)
 
     def rows(self) -> tuple[tuple[BivarPoly, ...], ...]:
-        return tuple(tuple(r.get(j, ZERO) for j in range(self._n)) for r in self._rows)
+        return tuple(tuple(r.get(j, ZERO) for j in range(self.n)) for r in self._rows)
 
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
         """Copy with every entry of 0-based row i multiplied by the scalar
-        c, an int or a ``GaussianInt``."""
+        c, an int or a ``GaussianInt``.  The other rows are shared with
+        this matrix, and a zero c leaves row i with no entries."""
         if not isinstance(i, int):
             raise TypeError(f"row index must be an int, got {i!r}")
-        if not 0 <= i < self._n:
-            raise IndexError(f"row {i} outside a matrix of order {self._n}")
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} outside a matrix of order {self.n}")
         rows = list(self._rows)
-        rows[i] = {j: e.scale(c) for j, e in rows[i].items()}
+        scaled = {j: e.scale(c) for j, e in rows[i].items()}
+        rows[i] = {j: e for j, e in scaled.items() if not e.is_zero()}
         return HessenbergMatrix._from_nonzeros(rows)
 
     def __str__(self) -> str:

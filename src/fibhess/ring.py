@@ -40,6 +40,7 @@ graded kernel when one y-weight fits them all, else ``PolyKernel``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import repeat
 from operator import add, attrgetter, mul
 
@@ -203,7 +204,9 @@ class BivarPoly:
 
     def __init__(self, terms=None):
         canonical: dict[_Term, int] = {}
-        if terms:
+        if terms is not None:
+            if not isinstance(terms, Mapping):
+                raise TypeError(f"terms must be a mapping, got {terms!r}")
             for (xe, ye), coeff in terms.items():
                 check_count("x exponent", xe, 0)
                 check_count("y exponent", ye, 0)

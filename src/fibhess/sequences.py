@@ -156,13 +156,13 @@ FAMILIES: dict[str, FamilySpec] = {
 def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     """n-th member of a specialization family.
 
-    ``p`` is required for p-parameterized families and ignored otherwise.
+    ``p`` is required for p-parameterized families.  A family that fixes
+    its own p ignores a valid ``p``, but any ``p`` given is checked.
     """
-    if spec.p is not None:
-        eff_p = spec.p
-    elif p is not None:
-        eff_p = p
-    else:
+    if p is not None:
+        check_count("p", p, 1)
+    eff_p = p if spec.p is None else spec.p
+    if eff_p is None:
         raise ValueError(f"family {spec.name!r} needs an explicit p")
     _check_args(eff_p, n)
     m = n + spec.index_offset

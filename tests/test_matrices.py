@@ -245,14 +245,9 @@ def test_getitem_outside_the_matrix_raises(ij):
         a[ij]
 
 
-def test_nonzero_rows_validated_like_dense_ones():
-    # the builders' constructor runs the same checks as the dense one
-    with pytest.raises(ShapeError):
-        HessenbergMatrix._from_nonzeros([{0: X, 1: ONE}])  # order 1
-    with pytest.raises(ShapeError):
-        HessenbergMatrix._from_nonzeros([{0: X, 2: ONE}, {1: X}, {2: X}])
-    with pytest.raises(TypeError):
-        HessenbergMatrix._from_nonzeros([{0: 1}])
+def test_shape_check_rejects_non_poly_entries():
+    with pytest.raises(TypeError, match="^entries must be BivarPoly$"):
+        HessenbergMatrix([[1]])
 
 
 @pytest.mark.parametrize("i", [-1, 3])
@@ -270,6 +265,10 @@ def test_non_int_index_is_rejected_by_name(index):
         a[1, index]
     with pytest.raises(TypeError, match="^row index must be an int, got"):
         a.scale_row(index, 2)
+    # an index that is not a pair fails by the same rule, before it is unpacked
+    for not_a_pair in (0, (0, 0, 0), (0,)):
+        with pytest.raises(TypeError, match="^index must be a pair of ints, got"):
+            a[not_a_pair]
 
 
 def test_scale_row_takes_a_scalar_not_a_polynomial():
@@ -280,15 +279,19 @@ def test_scale_row_takes_a_scalar_not_a_polynomial():
 
 
 def test_scale_row_by_zero_drops_the_row():
-    a = build_m(1, 3).scale_row(1, 0)
-    assert a.rows()[1] == (ZERO, ZERO, ZERO)
-    assert a.rows()[0] == build_m(1, 3).rows()[0]
+    for zero in (0, GaussianInt(0, 0)):
+        a = build_m(1, 3).scale_row(1, zero)
+        assert a.rows()[1] == (ZERO, ZERO, ZERO)
+        assert not a._rows[1]  # no zero entry is stored
+        assert a.rows()[0] == build_m(1, 3).rows()[0]
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 40])
 def test_dense_round_trip(builder, p, n):
+    # the builders' rows skip the dense constructor's checks, so this runs
+    # them through those checks: every builder's rows are well-formed
     a = builder(p, n)
     b = HessenbergMatrix(a.rows())
     assert b.rows() == a.rows()

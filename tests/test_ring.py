@@ -200,6 +200,12 @@ def test_gaussian_operators_reject_other_types(op, other):
         op(GaussianInt(1, 2), other)
 
 
+@pytest.mark.parametrize("terms", [[((1, 0), 1)], 0, "x"], ids=["list", "int", "str"])
+def test_term_map_that_is_not_a_mapping_is_rejected(terms):
+    with pytest.raises(TypeError, match="^terms must be a mapping, got"):
+        BivarPoly(terms)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError, match="^x exponent must be >= 0, got -1$"):
         BivarPoly({(-1, 0): 1})

@@ -300,6 +300,14 @@ def test_p_required_for_parameterized_families():
         family_value(get_family("fibonacci-p-poly"), 3)
 
 
+def test_fixed_p_family_checks_a_given_p():
+    # a family that fixes p ignores a valid p, but not a bad one
+    fam = get_family("fibonacci-poly")
+    with pytest.raises(ValueError, match="^p must be >= 1, got 0$"):
+        family_value(fam, 3, p=0)
+    assert family_value(fam, 3, p=3) == family_value(fam, 3)
+
+
 def test_unknown_family():
     with pytest.raises(KeyError):
         get_family("lucas-numbers")
@@ -465,6 +473,7 @@ _COUNTED = {
     "f_poly_prefix": f_poly_prefix,
     "fib_p_number": fib_p_number,
     "family_value": lambda p, n: family_value(get_family("fibonacci-p-poly"), n, p=p),
+    "family_value-fixed-p": lambda p, n: family_value(get_family("fibonacci-poly"), n, p=p),
     "cross_check": cross_check,
     "cross_check_prefix": sequences.cross_check_prefix,
     **{f"route-{name}": route for name, route in sequences.ROUTES.items()},
