@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import fibhess.ring as ring
 import fibhess.sequences as sequences
 from fibhess.evaluators import det_hessenberg, per_hessenberg
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
@@ -223,21 +224,28 @@ SEEDS = {
     "zero x": (ZERO, Y),
     "zero y": (X.scale(2), ZERO),
     "zero x, constant y": (ZERO, BivarPoly.constant(7)),
+    "two gaussian c*x, c*y": (X.scale(GaussianInt(-1, 3)), Y.scale(GaussianInt(2, 1))),
+    "zero x, gaussian c*y": (ZERO, Y.scale(GaussianInt(-3, 1))),
 }
 
 
 @pytest.mark.parametrize("case", SEEDS)
 @pytest.mark.parametrize("p", [1, 2])
 def test_spec_seeds_match_their_recurrence(case, p):
+    # n near 300 checks the constants' Gaussian powers, taken once after
+    # G's recurrence, against a recurrence that applies them at every step;
+    # G(p, 297..301) has each degree mod p + 1, so with a zero x the one
+    # surviving term is there at some n and not at others
     xsub, ysub = SEEDS[case]
     fam = FamilySpec(case, xsub, ysub, None)
     # G(k) = xsub^(k-1) for 1 <= k <= p + 1, then xsub*G(k-1) + ysub*G(k-p-1)
     expected = seq_from_recurrence(
         [ZERO] + [xsub**k for k in range(p + 1)],
         lambda v: xsub * v[-1] + ysub * v[-p - 1],
-        14,
+        302,
     )
-    assert [family_value(fam, n, p=p) for n in range(14)] == expected
+    ns = [*range(14), *range(297, 302)]
+    assert [family_value(fam, n, p=p) for n in ns] == [expected[n] for n in ns]
 
 
 def test_imaginary_y_seed():
@@ -545,13 +553,31 @@ def test_f_poly_matches_closed_form(p):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_matches_closed_form(name):
+    # up to G(p, 3001), the north star's n: a family with a variable seed
+    # scales G's coefficients by its constants' powers once, after the
+    # recurrence, and they must stay exact thousands of bits long
     fam = get_family(name)
     subs = as_monomial(fam.xsub), as_monomial(fam.ysub)
     ps = [fam.p] if fam.p is not None else range(1, 6)
     cases = [(p, n) for p in ps for n in range(60 - fam.index_offset)]
-    for p, n in cases + [(fam.p or 2, 1001)]:
+    for p, n in cases + [(fam.p or 2, 3001 - fam.index_offset)]:
         got = plain_terms(family_value(fam, n, p=p))
         assert got == closed_form(p, n + fam.index_offset, *subs), (p, n)
+
+
+def test_variable_seed_family_scales_no_step(monkeypatch):
+    # chebyshev-U's 2*x and -1 scale G's coefficients once, after the
+    # recurrence: no step multiplies a list by a constant
+    scales = []
+    add_scaled = ring._add_scaled
+
+    def recorded(out, j, c, v):
+        scales.append(c)
+        return add_scaled(out, j, c, v)
+
+    monkeypatch.setattr(ring, "_add_scaled", recorded)
+    family_value(get_family("chebyshev-U"), 60)
+    assert scales and set(scales) == {1}
 
 
 def test_constant_family_keeps_one_coefficient_per_term():
