@@ -80,8 +80,9 @@ def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[object, Iterator]
     """The kernel ``kernel_for`` picks from a's nonzeros, and an iterator
     over the det (``signed``) or per of a's leading k x k blocks for
     k = 0..n, in order, as raw values of that kernel: ``ring.poly(value, k)``
-    is block k's ``BivarPoly``.  The matrix is read when this is called;
-    the recursion runs as the iterator is consumed."""
+    is block k's ``BivarPoly``.  The kernel is picked from the nonzeros
+    when this is called; the row lists are made at the iterator's first
+    ``next()``, and the recursion runs as it is consumed."""
     ring = kernel_for((i - j + 1, e) for i, row in enumerate(a._rows) for j, e in row.items())
     return ring, _recursion(a, ring, signed)
 

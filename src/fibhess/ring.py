@@ -88,12 +88,12 @@ class _DataclassFields:
 class Frozen:
     """Base of the immutable record types.
 
-    A subclass names its fields in ``__slots__``, in constructor order, and
-    its own ``__init__`` checks its arguments and passes the field values to
-    this one.  An instance equals only an instance of its own class with
-    equal fields, hashes as the tuple of its fields, shows as
-    ``Name(field=value, ...)``, copies and pickles through its constructor,
-    and raises AttributeError on assignment.
+    A subclass names its fields, two or more, in ``__slots__``, in
+    constructor order, and its own ``__init__`` checks its arguments and
+    passes the field values to this one.  An instance equals only an
+    instance of its own class with equal fields, hashes as the tuple of its
+    fields, shows as ``Name(field=value, ...)``, copies and pickles through
+    its constructor, and raises AttributeError on assignment.
     """
 
     __slots__ = ()
@@ -101,10 +101,8 @@ class Frozen:
 
     def __init_subclass__(cls) -> None:
         # _values: the tuple of the fields, read by one attrgetter made
-        # here; an attrgetter of one name gives the bare value, so a
-        # one-field class wraps it
-        get = attrgetter(*cls.__slots__)
-        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        # here (of two or more names, so it gives a tuple)
+        cls._values = property(attrgetter(*cls.__slots__))
 
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
@@ -207,7 +205,10 @@ class BivarPoly:
         if terms is not None:
             if not isinstance(terms, Mapping):
                 raise TypeError(f"terms must be a mapping, got {terms!r}")
-            for (xe, ye), coeff in terms.items():
+            for key, coeff in terms.items():
+                if not (isinstance(key, tuple) and len(key) == 2):
+                    raise TypeError(f"term key must be an (xexp, yexp) pair, got {key!r}")
+                xe, ye = key
                 check_count("x exponent", xe, 0)
                 check_count("y exponent", ye, 0)
                 c = _as_gaussian(coeff)
@@ -288,10 +289,8 @@ class BivarPoly:
         """Replace x by xsub and y by ysub, fully expanded and canonical."""
         if not (isinstance(xsub, BivarPoly) and isinstance(ysub, BivarPoly)):
             raise TypeError("substitute takes two BivarPoly values")
-        result = ZERO
-        for (xe, ye), c in self.terms():
-            result = result + (xsub**xe * ysub**ye).scale(c)
-        return result
+        pairs = ((xsub**xe * ysub**ye, BivarPoly.constant(c)) for (xe, ye), c in self.terms())
+        return sum_of_products(pairs)
 
     def eval_at(self, x0, y0) -> GaussianInt:
         """Exact value of the polynomial at a Gaussian-integer point,

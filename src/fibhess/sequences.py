@@ -28,13 +28,14 @@ Chebyshev.  Substitution is a ring homomorphism and G(p, m) is graded, so
 a family with a variable seed runs G's own recurrence and scales each
 coefficient once: the coefficient of x^(d-w*j)*y^j takes
 cx^(d-w*j)*cy^j, and distinct j stay distinct monomials.  A family of two
-constants runs the recurrence on its constants, one coefficient per term.
+constants runs G's recurrence with its seeds as the two factors, so each
+term is one coefficient.
 
-One recurrence loop serves two rings.  ``f_poly``, ``f_poly_prefix`` and
-the families run it on the ring's graded kernel (G(p, k) is
+One recurrence loop serves two rings.  The recurrence route and the
+families run it on the ring's graded kernel (G(p, k) is
 weighted-homogeneous of degree k - 1 when y has weight p + 1) and convert
-only their results to ``BivarPoly``; ``fib_p_number`` runs it on plain
-ints.
+only their results to ``BivarPoly``; ``f_poly`` is that route's value and
+``f_poly_prefix`` its stream.  ``fib_p_number`` runs it on plain ints.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import islice
 
 from .evaluators import det_oracle, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, BivarPoly, Frozen, GaussianInt, GradedKernel, check_count
+from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GaussianInt, GradedKernel, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -70,22 +71,15 @@ def _recurrence(p: int, n: int, step: Callable[[object, object], object], zero, 
         yield window[-1]
 
 
-def _graded_terms(p: int, n: int, cx=(1, 0), cy=(1, 0), y=Y) -> Iterator:
-    """Terms 0..n of G on the graded kernel, with cx*X in place of x and
-    cy*``y`` in place of y for the Gaussian scalars cx and cy; each step
-    cx*X*G(k-1) + cy*y*G(k-p-1) is one multiply-accumulate.  With y = Y,
-    y has weight p + 1 and G(k) has degree k - 1.
-
-    The scalars serve only a family of two constants (y = ONE), whose terms
-    are single coefficients.  Any other caller runs G itself: a family with
-    a variable seed scales G's coefficients once (``_fold``), as folding
-    the scalars in at every step multiplies whole lists and grows every
-    coefficient by their powers.  The two-constant case cannot fold, as it
-    would need all of G: run on Gaussian pairs through ``_recurrence``
-    instead, ``fibonacci-numbers`` at n = 200000 took 4.24 s against
-    1.55 s here."""
-    step, zero, one = GradedKernel.sum_of_products, GradedKernel.zero, GradedKernel.one
-    return _recurrence(p, n, lambda last, back: step(((X, cx, last), (y, cy, back))), zero, one)
+def _graded_terms(p: int, n: int, x=X, y=Y) -> Iterator:
+    """Terms 0..n of G on the graded kernel, with the factor ``x`` in place
+    of x and ``y`` in place of y; each step x*G(k-1) + y*G(k-p-1) is one
+    multiply-accumulate.  With x = X and y = Y, y has weight p + 1 and G(k)
+    has degree k - 1; a family of two constants passes its seeds, and each
+    term is a single coefficient."""
+    step, unit = GradedKernel.sum_of_products, GradedKernel.unit
+    zero, one = GradedKernel.zero, GradedKernel.one
+    return _recurrence(p, n, lambda last, back: step(((x, unit, last), (y, unit, back))), zero, one)
 
 
 def _fold(g, d: int, w: int, cx, cy):
@@ -125,9 +119,8 @@ def f_poly(p: int, n: int) -> BivarPoly:
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
     """Terms 0..n as a list."""
-    _check_args(p, n)
-    ring = GradedKernel(p + 1)
-    return [ring.poly(g, k - 1) for k, g in enumerate(_graded_terms(p, n))]
+    ring, values = ROUTES["recurrence"].prefix(p, n)
+    return [ZERO, *(ring.poly(v, k) for k, v in enumerate(values))]
 
 
 def fib_p_number(p: int, n: int) -> int:
@@ -207,7 +200,7 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     ring = GradedKernel(eff_p + 1)
     if not xe | ye:
         # two constants: every value is a single coefficient
-        return ring.poly(_last(_graded_terms(eff_p, m, cx, cy, ONE)), m - 1, 0, 0)
+        return ring.poly(_last(_graded_terms(eff_p, m, spec.xsub, spec.ysub)), m - 1, 0, 0)
     # a variable seed keeps each term of G its own monomial
     g = _last(_graded_terms(eff_p, m))
     return ring.poly(_fold(g, m - 1, ring.w, cx, cy), m - 1, xe, ye)
@@ -240,7 +233,7 @@ class CrossCheckReport(Frozen):
 _Value = Callable[[int, int], BivarPoly]
 
 
-class _Route(Frozen):
+class _Route:
     """A fast route, as its stream: ``prefix(p, n)`` gives the kernel it
     runs on and an iterator over the raw values of G(p, 1..n), all from one
     recursion, G(p, k) being ``ring.poly(value, k - 1)``.  Calling the route
@@ -250,7 +243,7 @@ class _Route(Frozen):
     __slots__ = ("prefix",)
 
     def __init__(self, prefix: Callable[[int, int], tuple[object, Iterator]]) -> None:
-        super().__init__(prefix)
+        self.prefix = prefix
 
     def __call__(self, p: int, n: int) -> BivarPoly:
         ring, values = self.prefix(p, n)

@@ -17,7 +17,6 @@ import pytest
 
 from fibhess import CrossCheckReport, EvalBudget, FamilySpec, GaussianInt, cross_check
 from fibhess.ring import ONE, X, Y
-from fibhess.sequences import ROUTES
 
 # --- construction and defaults -------------------------------------------
 
@@ -131,15 +130,6 @@ def test_records_copy_and_pickle(record, field):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
-
-
-def test_one_field_record_keeps_a_field_tuple():
-    # a fast route is a record of one field, its stream: it hashes as the
-    # 1-tuple of that field and copies through its constructor
-    route = ROUTES["det-w"]
-    assert hash(route) == hash((route.prefix,))
-    assert copy.copy(route) == route
-    assert route != ROUTES["det-m"]
 
 
 def test_dataclass_helpers_still_apply():

@@ -163,6 +163,15 @@ def test_non_int_exponent_rejected(mono):
         BivarPoly({mono: 1})
 
 
+@pytest.mark.parametrize("key", [1, (1,), (1, 2, 3)], ids=["int", "1-tuple", "3-tuple"])
+def test_term_key_not_a_pair_rejected(key):
+    # a key that cannot unpack into two exponents is a type error that
+    # names the key, not an unpacking error
+    with pytest.raises(TypeError) as info:
+        BivarPoly({key: 1})
+    assert str(info.value) == f"term key must be an (xexp, yexp) pair, got {key!r}"
+
+
 @pytest.mark.parametrize(
     "coeff, message",
     [((1.5, 0), "re must be an int, got 1.5"), ((0, 2.0), "im must be an int, got 2.0")],
