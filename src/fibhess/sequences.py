@@ -25,21 +25,26 @@ Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
 classical families: Fibonacci, Pell, Jacobsthal, and second-kind
 Chebyshev.  Substitution is a ring homomorphism and G(p, m) is graded, so
-a family with a variable seed runs G's own recurrence and scales each
-coefficient once: the coefficient of x^(d-w*j)*y^j takes
-cx^(d-w*j)*cy^j, and distinct j stay distinct monomials.  A family of two
-constants runs G's recurrence with its seeds as the two factors, so each
-term is one coefficient.
+a family with a variable seed reads G's coefficients from its closed form,
+sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, one exact binomial ratio
+each, and scales each coefficient once: the coefficient of x^(d-w*j)*y^j
+takes cx^(d-w*j)*cy^j, and distinct j stay distinct monomials.  A family
+of two constants runs G's recurrence with its seeds as the two factors,
+so each term is one coefficient; there a step adds two numbers, which is
+cheaper than making and summing every binomial.
 
 One recurrence loop serves two rings.  The recurrence route and the
-families run it on the ring's graded kernel (G(p, k) is
+two-constant families run it on the ring's graded kernel (G(p, k) is
 weighted-homogeneous of degree k - 1 when y has weight p + 1) and convert
 only their results to ``BivarPoly``; ``f_poly`` is that route's value and
 ``f_poly_prefix`` its stream.  ``fib_p_number`` runs it on plain ints.
+The recurrence route runs the recurrence, not the closed form, so the
+tests can check each against the other.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -80,6 +85,23 @@ def _graded_terms(p: int, n: int, x=X, y=Y) -> Iterator:
     step, unit = GradedKernel.sum_of_products, GradedKernel.unit
     zero, one = GradedKernel.zero, GradedKernel.one
     return _recurrence(p, n, lambda last, back: step(((x, unit, last), (y, unit, back))), zero, one)
+
+
+def _closed(p: int, n: int):
+    """G(p, n)'s raw graded value from its closed form,
+    G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints
+    (``GradedKernel.zero`` for n < 1).  With N = n-1-p*j, each binomial
+    follows from the last by one exact ratio:
+    C(N-p, j+1) = C(N, j) * perm(N-j, p+1) / ((j+1) * perm(N, p)).
+    The loop runs (n-1) // (p+1) times, so a p far past n costs nothing.
+    The arguments are not checked."""
+    if n < 1:
+        return GradedKernel.zero
+    coeffs = [1]
+    for j in range((n - 1) // (p + 1)):
+        top = n - 1 - p * j
+        coeffs.append(coeffs[-1] * math.perm(top - j, p + 1) // ((j + 1) * math.perm(top, p)))
+    return coeffs, None
 
 
 def _fold(g, d: int, w: int, cx, cy):
@@ -136,16 +158,19 @@ class FamilySpec(Frozen):
     family(n) = substitute(G(p, n + index_offset)).
 
     ``xsub`` must be c or c*x, and ``ysub`` c or c*y, for a Gaussian
-    integer c (zero included); ``p``, when not None, must be an int >= 1,
-    and ``index_offset`` an int >= 0.  All are checked when the spec is
-    made: a seed that is not a ``BivarPoly`` or a count that is not an int
-    raises TypeError, anything else ValueError."""
+    integer c (zero included); ``name`` must be a str, ``p``, when not
+    None, an int >= 1, and ``index_offset`` an int >= 0.  All are checked
+    when the spec is made: a name that is not a str, a seed that is not a
+    ``BivarPoly`` or a count that is not an int raises TypeError, anything
+    else ValueError."""
 
     __slots__ = ("name", "xsub", "ysub", "p", "index_offset")
 
     def __init__(
         self, name: str, xsub: BivarPoly, ysub: BivarPoly, p: int | None, index_offset: int = 0
     ) -> None:
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a str, got {name!r}")
         if p is not None:
             check_count("p", p, 1)
         check_count("index_offset", index_offset, 0)
@@ -186,8 +211,11 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     """n-th member of a specialization family.
 
     ``p`` is required for p-parameterized families.  A family that fixes
-    its own p ignores a valid ``p``, but any ``p`` given is checked.
+    its own p ignores a valid ``p``, but any ``p`` given is checked.  A
+    ``spec`` that is not a ``FamilySpec`` raises TypeError.
     """
+    if not isinstance(spec, FamilySpec):
+        raise TypeError(f"spec must be a FamilySpec, got {spec!r}")
     if p is not None:
         check_count("p", p, 1)
     eff_p = p if spec.p is None else spec.p
@@ -202,7 +230,7 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
         # two constants: every value is a single coefficient
         return ring.poly(_last(_graded_terms(eff_p, m, spec.xsub, spec.ysub)), m - 1, 0, 0)
     # a variable seed keeps each term of G its own monomial
-    g = _last(_graded_terms(eff_p, m))
+    g = _closed(eff_p, m)
     return ring.poly(_fold(g, m - 1, ring.w, cx, cy), m - 1, xe, ye)
 
 

@@ -316,6 +316,16 @@ def test_fixed_p_family_checks_a_given_p():
     assert family_value(fam, 3, p=3) == family_value(fam, 3)
 
 
+def test_family_value_rejects_a_spec_that_is_not_one():
+    with pytest.raises(TypeError, match="^spec must be a FamilySpec, got 'chebyshev-U'$"):
+        family_value("chebyshev-U", 5)
+
+
+def test_spec_rejects_a_name_that_is_not_a_str():
+    with pytest.raises(TypeError, match="^name must be a str, got 3$"):
+        FamilySpec(3, X, Y, 1)
+
+
 def test_unknown_family():
     with pytest.raises(KeyError):
         get_family("lucas-numbers")
@@ -554,8 +564,8 @@ def test_f_poly_matches_closed_form(p):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_matches_closed_form(name):
     # up to G(p, 3001), the north star's n: a family with a variable seed
-    # scales G's coefficients by its constants' powers once, after the
-    # recurrence, and they must stay exact thousands of bits long
+    # scales G's closed-form coefficients by its constants' powers once,
+    # and they must stay exact thousands of bits long
     fam = get_family(name)
     subs = as_monomial(fam.xsub), as_monomial(fam.ysub)
     ps = [fam.p] if fam.p is not None else range(1, 6)
@@ -565,19 +575,59 @@ def test_family_matches_closed_form(name):
         assert got == closed_form(p, n + fam.index_offset, *subs), (p, n)
 
 
-def test_variable_seed_family_scales_no_step(monkeypatch):
-    # chebyshev-U's 2*x and -1 scale G's coefficients once, after the
-    # recurrence: no step multiplies a list by a constant
-    scales = []
+def test_variable_seed_family_runs_no_step(monkeypatch):
+    # chebyshev-U reads G from its closed form and scales each coefficient
+    # once by its constants' powers: no recurrence step adds a list
+    calls = []
     add_scaled = ring._add_scaled
 
-    def recorded(out, j, c, v):
-        scales.append(c)
-        return add_scaled(out, j, c, v)
+    def recorded(*args):
+        calls.append(args)
+        return add_scaled(*args)
 
     monkeypatch.setattr(ring, "_add_scaled", recorded)
-    family_value(get_family("chebyshev-U"), 60)
-    assert scales and set(scales) == {1}
+    assert family_value(get_family("chebyshev-U"), 60) != ZERO
+    assert calls == []
+
+
+def recurrence_value(p, n):
+    """G(p, n)'s raw graded value from the recurrence, the oracle of the
+    closed form."""
+    return sequences._last(sequences._graded_terms(p, n))
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_closed_matches_the_recurrence(p):
+    terms = list(sequences._graded_terms(p, 300))
+    assert [sequences._closed(p, n) for n in range(301)] == terms
+
+
+@pytest.mark.parametrize("p, n", [(1, 3001), (2, 3001), *((10**20, n) for n in range(6))])
+def test_closed_matches_the_recurrence_far_out(p, n):
+    # n in the thousands gives binomials thousands of bits long; a p far
+    # past n runs the ratio update no times
+    assert sequences._closed(p, n) == recurrence_value(p, n)
+
+
+VARIABLE_SEED = sorted(
+    name
+    for name, fam in FAMILIES.items()
+    if GradedKernel.seed(fam.xsub, "x")[0] | GradedKernel.seed(fam.ysub, "y")[0]
+)
+
+
+@pytest.mark.parametrize("name", VARIABLE_SEED)
+def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
+    # the recurrence is the family path's independent oracle at G(p, 3001)
+    fam = get_family(name)
+    p = fam.p or 2
+    m = 3001
+    xe, *cx = GradedKernel.seed(fam.xsub, "x")
+    ye, *cy = GradedKernel.seed(fam.ysub, "y")
+    kernel = GradedKernel(p + 1)
+    folded = sequences._fold(recurrence_value(p, m), m - 1, p + 1, cx, cy)
+    expected = kernel.poly(folded, m - 1, xe, ye)
+    assert family_value(fam, m - fam.index_offset, p=p) == expected
 
 
 def test_constant_family_keeps_one_coefficient_per_term():
