@@ -28,18 +28,21 @@ Chebyshev.  Substitution is a ring homomorphism and G(p, m) is graded, so
 a family with a variable seed reads G's coefficients from its closed form,
 sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, one exact binomial ratio
 each, and scales each coefficient once: the coefficient of x^(d-w*j)*y^j
-takes cx^(d-w*j)*cy^j, and distinct j stay distinct monomials.  A family
-of two constants runs G's recurrence with its seeds as the two factors,
-so each term is one coefficient; there a step adds two numbers, which is
-cheaper than making and summing every binomial.
+takes cx^(d-w*j)*cy^j, and distinct j stay distinct monomials.
 
-One recurrence loop serves two rings.  The recurrence route and the
-two-constant families run it on the ring's graded kernel (G(p, k) is
-weighted-homogeneous of degree k - 1 when y has weight p + 1) and convert
-only their results to ``BivarPoly``; ``f_poly`` is that route's value and
-``f_poly_prefix`` its stream.  ``fib_p_number`` runs it on plain ints.
-The recurrence route runs the recurrence, not the closed form, so the
-tests can check each against the other.
+A family of two constants cx and cy, and ``fib_p_number`` (cx = cy = 1),
+is a scalar linear recurrence of order p + 1, so G(p, m) there is the t^p
+coefficient of t^(m-1+p) mod t^(p+1) - cx*t^p - cy, O(log m) squarings
+of p + 1 Gaussian ``(re, im)`` pairs.  One rule, ``_power_wins``, takes the
+power only where its products number at most the recurrence's steps,
+and so never where m <= p + 1; elsewhere the family runs the recurrence on
+pairs and ``fib_p_number`` on plain ints.
+
+The recurrence route runs G's recurrence on the ring's graded kernel
+(G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1)
+and converts only its results to ``BivarPoly``; ``f_poly`` is that
+route's value and ``f_poly_prefix`` its stream.  It runs the recurrence,
+not the closed form, so the tests can check each against the other.
 """
 
 from __future__ import annotations
@@ -63,11 +66,13 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
 def _recurrence(p: int, n: int, step: Callable[[object, object], object], zero, one) -> Iterator:
     """Yield terms 0..n of the recurrence G(k) = step(G(k-1), G(k-p-1)),
     with G(1) = ``one`` and G(k) = ``zero`` for k <= 0, in the ring of
-    ``zero`` and ``one`` (graded values, or int for fib_p_number).  Terms
-    2..p+1 need no branch of their own: their G(k-p-1) is zero.  The
-    arguments are not checked.  At most min(p, n) + 1 terms are held, so
-    taking just the n-th keeps memory O(min(p, n)) terms: for n < p every
-    G(k-p-1) read is zero, and so is G(k-n-1), which is read in its place."""
+    ``zero`` and ``one``: graded values for the recurrence route, Gaussian
+    ``(re, im)`` pairs for a family of two constants, ints for
+    fib_p_number.  Terms 2..p+1 need no branch of their own: their
+    G(k-p-1) is zero.  The arguments are not checked.  At most
+    min(p, n) + 1 terms are held, so taking just the n-th keeps memory
+    O(min(p, n)) terms: for n < p every G(k-p-1) read is zero, and so is
+    G(k-n-1), which is read in its place."""
     lag = min(p, n)
     window = deque([zero] * lag + [one], maxlen=lag + 1)  # G(k-lag-1) .. G(k-1)
     yield from islice((zero, one), n + 1)
@@ -76,15 +81,72 @@ def _recurrence(p: int, n: int, step: Callable[[object, object], object], zero, 
         yield window[-1]
 
 
-def _graded_terms(p: int, n: int, x=X, y=Y) -> Iterator:
-    """Terms 0..n of G on the graded kernel, with the factor ``x`` in place
-    of x and ``y`` in place of y; each step x*G(k-1) + y*G(k-p-1) is one
-    multiply-accumulate.  With x = X and y = Y, y has weight p + 1 and G(k)
-    has degree k - 1; a family of two constants passes its seeds, and each
-    term is a single coefficient."""
+def _graded_terms(p: int, n: int) -> Iterator:
+    """Terms 0..n of G on the graded kernel, where y has weight p + 1 and
+    G(k) has degree k - 1; each step x*G(k-1) + y*G(k-p-1) is one
+    multiply-accumulate."""
     step, unit = GradedKernel.sum_of_products, GradedKernel.unit
     zero, one = GradedKernel.zero, GradedKernel.one
-    return _recurrence(p, n, lambda last, back: step(((x, unit, last), (y, unit, back))), zero, one)
+    return _recurrence(p, n, lambda last, back: step(((X, unit, last), (Y, unit, back))), zero, one)
+
+
+def _power_wins(p: int, m: int) -> bool:
+    """Whether G(p, m) at constants takes ``_power`` rather than the
+    recurrence.  Each bit of the power's exponent m - 1 + p squares p + 1
+    coefficients, (p + 1)^2 products, where the recurrence takes one step
+    per term, m in all; the power runs when its products number at most
+    the recurrence's steps, (p + 1)^2 * bit_length(m + p) <= m.  So it
+    never runs when m <= p + 1, where its p + 1 coefficients would
+    outnumber the terms the recurrence holds, however large p is."""
+    return (p + 1) ** 2 * (m + p).bit_length() <= m
+
+
+def _power(p: int, m: int, cx, cy) -> tuple[int, int]:
+    """G(p, m) at x = cx and y = cy, Gaussian ``(re, im)`` pairs, as a pair,
+    for m >= 1.  At constants G is a linear recurrence of order p + 1,
+    a(k) = cx*a(k-1) + cy*a(k-p-1) from k = 2 on, with a(1-p) .. a(0) = 0
+    and a(1) = 1, so a(m) is the t^p coefficient of t^(m-1+p) mod
+    t^(p+1) - cx*t^p - cy (Fiduccia, SIAM J. Comput. 14, 1985).  The power
+    runs from the exponent's top bit down: each bit squares the residue,
+    shifts it by t for a 1, and folds each coefficient of t^k, k > p, into
+    t^(k-1) times cx and t^(k-p-1) times cy, top first.  It holds p + 1
+    coefficients; ``_power_wins`` decides when it runs."""
+    times = GradedKernel.times
+    residue = [(1, 0)]  # t^0
+    for bit in bin(m - 1 + p)[2:]:
+        shift = bit == "1"
+        size = 2 * len(residue) - 1 + shift
+        re, im = [0] * size, [0] * size
+        for i, a in enumerate(residue):
+            for k, b in enumerate(residue, i + shift):
+                r, s = times(a, b)
+                re[k] += r
+                im[k] += s
+        for k in range(size - 1, p, -1):
+            c = re[k], im[k]
+            r, s = times(cx, c)
+            re[k - 1] += r
+            im[k - 1] += s
+            r, s = times(cy, c)
+            re[k - p - 1] += r
+            im[k - p - 1] += s
+        residue = list(zip(re[: p + 1], im[: p + 1]))
+    return residue[p]
+
+
+def _at_constants(p: int, m: int, cx, cy) -> tuple[int, int]:
+    """G(p, m) at x = cx and y = cy, Gaussian ``(re, im)`` pairs, as a
+    pair: by ``_power`` where ``_power_wins``, else by the recurrence on
+    pairs."""
+    if _power_wins(p, m):
+        return _power(p, m, cx, cy)
+    times = GradedKernel.times
+
+    def step(last, back):
+        (ar, ai), (br, bi) = times(cx, last), times(cy, back)
+        return ar + br, ai + bi
+
+    return _last(_recurrence(p, m, step, (0, 0), (1, 0)))
 
 
 def _closed(p: int, n: int):
@@ -140,15 +202,22 @@ def f_poly(p: int, n: int) -> BivarPoly:
 
 
 def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
-    """Terms 0..n as a list."""
+    """Terms 0..n as a list.  The list holds every term at once, about
+    n^2 / (2(p + 1)) monomials whose coefficients grow to O(n) bits, so
+    Theta(n^3 / p) bits in all: ``f_poly_prefix(1, 2000)`` holds 1,001,000
+    terms and peaks near 273 MiB.  Iterate ``ROUTES["recurrence"].prefix``
+    for one term at a time."""
     ring, values = ROUTES["recurrence"].prefix(p, n)
     return [ZERO, *(ring.poly(v, k) for k, v in enumerate(values))]
 
 
 def fib_p_number(p: int, n: int) -> int:
     """Integer sequence with p+1 leading ones, a(n) = a(n-1) + a(n-p-1):
-    the recurrence at x = y = 1."""
+    G(p, n) at x = y = 1, by ``_power`` where ``_power_wins``, else by the
+    recurrence on plain ints."""
     _check_args(p, n, n_min=1)
+    if _power_wins(p, n):
+        return _power(p, n, (1, 0), (1, 0))[0]
     return _last(_recurrence(p, n, operator.add, 0, 1))
 
 
@@ -227,8 +296,9 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     ye, *cy = GradedKernel.seed(spec.ysub, "y")
     ring = GradedKernel(eff_p + 1)
     if not xe | ye:
-        # two constants: every value is a single coefficient
-        return ring.poly(_last(_graded_terms(eff_p, m, spec.xsub, spec.ysub)), m - 1, 0, 0)
+        # two constants: G(p, m) is a single coefficient
+        re, im = _at_constants(eff_p, m, cx, cy)
+        return ring.poly(([re], [im]), m - 1, 0, 0)
     # a variable seed keeps each term of G its own monomial
     g = _closed(eff_p, m)
     return ring.poly(_fold(g, m - 1, ring.w, cx, cy), m - 1, xe, ye)

@@ -296,11 +296,24 @@ def test_spec_rejects_bad_p(p, error):
         FamilySpec("bad", X, Y, p)
 
 
+def int_sequence(p, n):
+    """a(n) of the integer sequence with p + 1 leading ones,
+    a(k) = a(k-1) + a(k-p-1), by a loop over plain ints."""
+    window = [0] * p + [1]  # a(k-p-1) .. a(k-1), with a(k) = 0 for k <= 0
+    for _ in range(2, n + 1):
+        window.append(window[-1] + window.pop(0))
+    return window[-1] if n else 0
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_fibonacci_p_numbers_family(p):
+    # both read the same path, so each is also held to a plain-int loop;
+    # n = 100 and 301 take the power, n < 12 the recurrence
     fam = get_family("fibonacci-p-numbers")
-    for n in range(1, 12):
-        assert family_value(fam, n, p=p) == BivarPoly.constant(fib_p_number(p, n))
+    for n in [*range(1, 12), 100, 301]:
+        expected = int_sequence(p, n)
+        assert fib_p_number(p, n) == expected, (p, n)
+        assert family_value(fam, n, p=p) == BivarPoly.constant(expected), (p, n)
 
 
 def test_p_required_for_parameterized_families():
@@ -422,6 +435,9 @@ def test_p_far_beyond_n():
     huge = 10**20
     assert f_poly(huge, 3) == X**2
     assert fib_p_number(huge, 5) == 1
+    # a power of p + 1 coefficients would not fit: the recurrence runs
+    fam = get_family("fibonacci-p-numbers")
+    assert all(family_value(fam, n, p=huge) == ONE for n in range(1, 6))
     assert family_value(get_family("fibonacci-p-poly"), 4, p=huge) == X**3
     assert cross_check(huge, 4).all_equal
     # a window of p + 1 terms peaks at about 16 MB here
@@ -492,6 +508,7 @@ _COUNTED = {
     "fib_p_number": fib_p_number,
     "family_value": lambda p, n: family_value(get_family("fibonacci-p-poly"), n, p=p),
     "family_value-fixed-p": lambda p, n: family_value(get_family("fibonacci-poly"), n, p=p),
+    "family_value-constants": lambda p, n: family_value(get_family("fibonacci-p-numbers"), n, p=p),
     "cross_check": cross_check,
     "cross_check_prefix": sequences.cross_check_prefix,
     **{f"route-{name}": route for name, route in sequences.ROUTES.items()},
@@ -506,6 +523,7 @@ def test_non_int_count_is_rejected_before_any_work(monkeypatch, call, p, n, name
         raise AssertionError("work started before the count was checked")
 
     monkeypatch.setattr(sequences, "_recurrence", work)
+    monkeypatch.setattr(sequences, "_power", work)
     monkeypatch.setattr(HessenbergMatrix, "_from_nonzeros", work)
     with pytest.raises(TypeError, match=f"^{name} must be an int, got"):
         call(p, n)
@@ -640,6 +658,74 @@ def test_constant_family_keeps_one_coefficient_per_term():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_constant_family_runs_no_step_at_large_n(monkeypatch):
+    # jacobsthal-numbers at n = 20000 powers t mod its characteristic
+    # trinomial and takes no recurrence step; fibonacci-p-numbers at p = 40,
+    # n = 100 falls on the other side of the rule and runs the recurrence
+    calls = []
+    recurrence = sequences._recurrence
+
+    def recorded(p, n, *args):
+        calls.append((p, n))
+        return recurrence(p, n, *args)
+
+    monkeypatch.setattr(sequences, "_recurrence", recorded)
+    assert family_value(get_family("jacobsthal-numbers"), 20000) != ZERO
+    assert calls == []
+    assert family_value(get_family("fibonacci-p-numbers"), 100, p=40) == BivarPoly.constant(231)
+    assert calls == [(40, 100)]
+
+
+def test_power_never_runs_where_its_coefficients_outnumber_the_terms():
+    # the power holds p + 1 coefficients, so the rule must refuse m <= p + 1
+    assert not any(sequences._power_wins(p, m) for p in range(1, 200) for m in range(p + 2))
+    assert not sequences._power_wins(10**20, 5)
+
+
+def pair_sequence(p, count, cx, cy):
+    """G(p, 0..count-1) at x = cx and y = cy, Gaussian integers as (re, im)
+    pairs, by G's recurrence: G(0) = 0, G(1) = 1, then
+    G(k) = cx*G(k-1) + cy*G(k-p-1) with G(k) = 0 for k < 0."""
+
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    values = [(0, 0), (1, 0)]
+    while len(values) < count:
+        k = len(values)
+        (ar, ai), (br, bi) = times(cx, values[-1]), times(cy, values[k - p - 1] if k > p else (0, 0))
+        values.append((ar + br, ai + bi))
+    return values[:count]
+
+
+GAUSSIAN_CONSTANTS = {
+    "two gaussian constants": ((1, 2), (-3, 1)),
+    "zero x, gaussian y": ((0, 0), (-3, 1)),
+    "gaussian x, zero y": ((1, 2), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_CONSTANTS)
+def test_constant_family_matches_a_recurrence_on_pairs(case):
+    # a user family of two Gaussian constants, held to a recurrence on pairs
+    # written here, on both sides of the rule that picks the power
+    cx, cy = GAUSSIAN_CONSTANTS[case]
+    fam = FamilySpec(case, *(BivarPoly.constant(GaussianInt(*c)) for c in (cx, cy)), None)
+    ns = [*range(201), 3001]
+    for p in range(1, 8):
+        values = pair_sequence(p, 3002, cx, cy)
+        for n in ns:
+            expected = BivarPoly.constant(GaussianInt(*values[n]))
+            assert family_value(fam, n, p=p) == expected, (p, n)
+    sides = {sequences._power_wins(p, n) for p in range(1, 8) for n in ns}
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_fib_p_number_matches_a_plain_loop_at_large_n(p):
+    assert fib_p_number(p, 20001) == int_sequence(p, 20001)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
