@@ -25,30 +25,32 @@ Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
 classical families: Fibonacci, Pell, Jacobsthal, and second-kind
 Chebyshev.  Substitution is a ring homomorphism and G(p, m) is graded, so
-a family with a variable seed reads G's coefficients from its closed form,
+a family reads G's coefficients from its closed form,
 sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, one exact binomial ratio
 each, and scales each coefficient once: the coefficient of x^(d-w*j)*y^j
-takes cx^(d-w*j)*cy^j, and distinct j stay distinct monomials.
+takes cx^(d-w*j)*cy^j.  With a variable seed, distinct j stay distinct
+monomials; with two constants, every term lands on 1 and they add up to
+one coefficient, and ``fib_p_number`` (cx = cy = 1) is the plain sum of
+G's coefficients.
 
-A family of two constants cx and cy, and ``fib_p_number`` (cx = cy = 1),
-is a scalar linear recurrence of order p + 1, so G(p, m) there is the t^p
-coefficient of t^(m-1+p) mod t^(p+1) - cx*t^p - cy, O(log m) squarings
-of p + 1 Gaussian ``(re, im)`` pairs.  One rule, ``_power_wins``, takes the
-power only where its products number at most the recurrence's steps,
-and so never where m <= p + 1; elsewhere the family runs the recurrence on
-pairs and ``fib_p_number`` on plain ints.
+At two constants, G(p, m) is also a scalar linear recurrence of order
+p + 1, so it is the t^p coefficient of t^(m-1+p) mod
+t^(p+1) - cx*t^p - cy, O(log m) squarings of p + 1 Gaussian ``(re, im)``
+pairs.  One rule, ``_power_wins``, takes that power only where its
+products number at most m, and so never where m <= p + 1; elsewhere the
+closed form serves.  The power and the closed form are the only two ways
+a family or ``fib_p_number`` computes G.
 
 The recurrence route runs G's recurrence on the ring's graded kernel
 (G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1)
 and converts only its results to ``BivarPoly``; ``f_poly`` is that
-route's value and ``f_poly_prefix`` its stream.  It runs the recurrence,
-not the closed form, so the tests can check each against the other.
+route's value and ``f_poly_prefix`` its stream.  Nothing else runs the
+recurrence, so the tests can hold the closed form and the power to it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import islice
@@ -63,41 +65,36 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
     check_count("n", n, n_min)
 
 
-def _recurrence(p: int, n: int, step: Callable[[object, object], object], zero, one) -> Iterator:
-    """Yield terms 0..n of the recurrence G(k) = step(G(k-1), G(k-p-1)),
-    with G(1) = ``one`` and G(k) = ``zero`` for k <= 0, in the ring of
-    ``zero`` and ``one``: graded values for the recurrence route, Gaussian
-    ``(re, im)`` pairs for a family of two constants, ints for
-    fib_p_number.  Terms 2..p+1 need no branch of their own: their
-    G(k-p-1) is zero.  The arguments are not checked.  At most
-    min(p, n) + 1 terms are held, so taking just the n-th keeps memory
-    O(min(p, n)) terms: for n < p every G(k-p-1) read is zero, and so is
-    G(k-n-1), which is read in its place."""
+def _recurrence(p: int, n: int) -> Iterator:
+    """Yield terms 0..n of G on the graded kernel, where y has weight
+    p + 1 and G(k) has degree k - 1: G(1) = 1, G(k) = 0 for k <= 0, and
+    each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate.  Only the
+    recurrence route runs it; every other value of G reads ``_closed`` or
+    ``_power``, so the route stays their independent oracle.  Terms 2..p+1
+    need no branch of their own: their G(k-p-1) is zero.  The arguments are
+    not checked.  At most min(p, n) + 1 terms are held, so taking just the
+    n-th keeps memory O(min(p, n)) terms: for n < p every G(k-p-1) read is
+    zero, and so is G(k-n-1), which is read in its place."""
+    step, unit = GradedKernel.sum_of_products, GradedKernel.unit
+    zero, one = GradedKernel.zero, GradedKernel.one
     lag = min(p, n)
     window = deque([zero] * lag + [one], maxlen=lag + 1)  # G(k-lag-1) .. G(k-1)
     yield from islice((zero, one), n + 1)
     for _ in range(2, n + 1):
-        window.append(step(window[-1], window[0]))
+        window.append(step(((X, unit, window[-1]), (Y, unit, window[0]))))
         yield window[-1]
 
 
-def _graded_terms(p: int, n: int) -> Iterator:
-    """Terms 0..n of G on the graded kernel, where y has weight p + 1 and
-    G(k) has degree k - 1; each step x*G(k-1) + y*G(k-p-1) is one
-    multiply-accumulate."""
-    step, unit = GradedKernel.sum_of_products, GradedKernel.unit
-    zero, one = GradedKernel.zero, GradedKernel.one
-    return _recurrence(p, n, lambda last, back: step(((X, unit, last), (Y, unit, back))), zero, one)
-
-
 def _power_wins(p: int, m: int) -> bool:
-    """Whether G(p, m) at constants takes ``_power`` rather than the
-    recurrence.  Each bit of the power's exponent m - 1 + p squares p + 1
-    coefficients, (p + 1)^2 products, where the recurrence takes one step
-    per term, m in all; the power runs when its products number at most
-    the recurrence's steps, (p + 1)^2 * bit_length(m + p) <= m.  So it
-    never runs when m <= p + 1, where its p + 1 coefficients would
-    outnumber the terms the recurrence holds, however large p is."""
+    """Whether G(p, m) at two constants takes ``_power`` rather than the
+    closed form.  Each bit of the power's exponent m - 1 + p squares p + 1
+    coefficients, (p + 1)^2 products; the power runs when its products
+    number at most m, the steps of the recurrence it skips,
+    (p + 1)^2 * bit_length(m + p) <= m.  So it never runs when m <= p + 1,
+    where its p + 1 coefficients would outnumber G's terms, however large p
+    is.  The closed form makes (m - 1) // (p + 1) ratio steps instead, so
+    the rule leans to the closed form, which is the faster one at some
+    points short of it, such as (5, 300)."""
     return (p + 1) ** 2 * (m + p).bit_length() <= m
 
 
@@ -134,21 +131,6 @@ def _power(p: int, m: int, cx, cy) -> tuple[int, int]:
     return residue[p]
 
 
-def _at_constants(p: int, m: int, cx, cy) -> tuple[int, int]:
-    """G(p, m) at x = cx and y = cy, Gaussian ``(re, im)`` pairs, as a
-    pair: by ``_power`` where ``_power_wins``, else by the recurrence on
-    pairs."""
-    if _power_wins(p, m):
-        return _power(p, m, cx, cy)
-    times = GradedKernel.times
-
-    def step(last, back):
-        (ar, ai), (br, bi) = times(cx, last), times(cy, back)
-        return ar + br, ai + bi
-
-    return _last(_recurrence(p, m, step, (0, 0), (1, 0)))
-
-
 def _closed(p: int, n: int):
     """G(p, n)'s raw graded value from its closed form,
     G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints
@@ -176,10 +158,12 @@ def _fold(g, d: int, w: int, cx, cy):
     if not coeffs:
         return g
     times = GradedKernel.times
-    base = GaussianInt(*cx)
-    low, step = base ** (d - w * (len(coeffs) - 1)), base**w
+    base, last = GaussianInt(*cx), len(coeffs) - 1
+    # cx^w is read only past one coefficient, and then w <= d: a p far past
+    # d raises cx to no power beyond cx^d
+    low, step = base ** (d - w * last), base ** (w if last else 0)
     x_powers = [(low.re, low.im)]  # cx^(d - w*j), from the last j down
-    for _ in range(len(coeffs) - 1):
+    for _ in range(last):
         x_powers.append(times(x_powers[-1], (step.re, step.im)))
     re, im, y_power = [], [], (1, 0)
     for c, x_power in zip(coeffs, reversed(x_powers)):
@@ -213,12 +197,13 @@ def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
 
 def fib_p_number(p: int, n: int) -> int:
     """Integer sequence with p+1 leading ones, a(n) = a(n-1) + a(n-p-1):
-    G(p, n) at x = y = 1, by ``_power`` where ``_power_wins``, else by the
-    recurrence on plain ints."""
+    G(p, n) at x = y = 1, by ``_power`` where ``_power_wins``, else as the
+    sum of G's closed-form coefficients, which x = y = 1 leaves as they
+    are."""
     _check_args(p, n, n_min=1)
     if _power_wins(p, n):
         return _power(p, n, (1, 0), (1, 0))[0]
-    return _last(_recurrence(p, n, operator.add, 0, 1))
+    return sum(_closed(p, n)[0])
 
 
 class FamilySpec(Frozen):
@@ -295,13 +280,16 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     xe, *cx = GradedKernel.seed(spec.xsub, "x")
     ye, *cy = GradedKernel.seed(spec.ysub, "y")
     ring = GradedKernel(eff_p + 1)
-    if not xe | ye:
-        # two constants: G(p, m) is a single coefficient
-        re, im = _at_constants(eff_p, m, cx, cy)
+    if not xe | ye and _power_wins(eff_p, m):
+        # two constants, far enough out: G(p, m) is the power's one coefficient
+        re, im = _power(eff_p, m, cx, cy)
         return ring.poly(([re], [im]), m - 1, 0, 0)
+    g = _fold(_closed(eff_p, m), m - 1, ring.w, cx, cy)
+    if not xe | ye:
+        # two constants put every term of G on the monomial 1: add them up
+        g = [sum(g[0])], [sum(g[1] or ())]
     # a variable seed keeps each term of G its own monomial
-    g = _closed(eff_p, m)
-    return ring.poly(_fold(g, m - 1, ring.w, cx, cy), m - 1, xe, ye)
+    return ring.poly(g, m - 1, xe, ye)
 
 
 def get_family(name: str) -> FamilySpec:
@@ -350,7 +338,7 @@ class _Route:
 
 def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:
     _check_args(p, n)
-    return GradedKernel(p + 1), islice(_graded_terms(p, n), 1, None)
+    return GradedKernel(p + 1), islice(_recurrence(p, n), 1, None)
 
 
 def _on_matrix(evaluate: _Value) -> _Value:

@@ -308,7 +308,7 @@ def int_sequence(p, n):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_fibonacci_p_numbers_family(p):
     # both read the same path, so each is also held to a plain-int loop;
-    # n = 100 and 301 take the power, n < 12 the recurrence
+    # n = 100 and 301 take the power, n < 12 the closed form
     fam = get_family("fibonacci-p-numbers")
     for n in [*range(1, 12), 100, 301]:
         expected = int_sequence(p, n)
@@ -435,10 +435,15 @@ def test_p_far_beyond_n():
     huge = 10**20
     assert f_poly(huge, 3) == X**2
     assert fib_p_number(huge, 5) == 1
-    # a power of p + 1 coefficients would not fit: the recurrence runs
+    # a power of p + 1 coefficients would not fit: the closed form runs,
+    # and raises a constant x to no power beyond x^(n-1)
     fam = get_family("fibonacci-p-numbers")
     assert all(family_value(fam, n, p=huge) == ONE for n in range(1, 6))
     assert family_value(get_family("fibonacci-p-poly"), 4, p=huge) == X**3
+    for name in ("pell-p-poly", "pell-bivariate-p"):
+        assert family_value(get_family(name), 3, p=huge) == (X**2).scale(4), name
+    two = FamilySpec("two-x", BivarPoly.constant(2), ONE, None)
+    assert family_value(two, 3, p=huge) == BivarPoly.constant(4)
     assert cross_check(huge, 4).all_equal
     # a window of p + 1 terms peaks at about 16 MB here
     tracemalloc.start()
@@ -524,6 +529,7 @@ def test_non_int_count_is_rejected_before_any_work(monkeypatch, call, p, n, name
 
     monkeypatch.setattr(sequences, "_recurrence", work)
     monkeypatch.setattr(sequences, "_power", work)
+    monkeypatch.setattr(sequences, "_closed", work)
     monkeypatch.setattr(HessenbergMatrix, "_from_nonzeros", work)
     with pytest.raises(TypeError, match=f"^{name} must be an int, got"):
         call(p, n)
@@ -611,12 +617,12 @@ def test_variable_seed_family_runs_no_step(monkeypatch):
 def recurrence_value(p, n):
     """G(p, n)'s raw graded value from the recurrence, the oracle of the
     closed form."""
-    return sequences._last(sequences._graded_terms(p, n))
+    return sequences._last(sequences._recurrence(p, n))
 
 
 @pytest.mark.parametrize("p", range(1, 8))
 def test_closed_matches_the_recurrence(p):
-    terms = list(sequences._graded_terms(p, 300))
+    terms = list(sequences._recurrence(p, 300))
     assert [sequences._closed(p, n) for n in range(301)] == terms
 
 
@@ -661,21 +667,21 @@ def test_constant_family_keeps_one_coefficient_per_term():
 
 
 def test_constant_family_runs_no_step_at_large_n(monkeypatch):
-    # jacobsthal-numbers at n = 20000 powers t mod its characteristic
-    # trinomial and takes no recurrence step; fibonacci-p-numbers at p = 40,
-    # n = 100 falls on the other side of the rule and runs the recurrence
-    calls = []
-    recurrence = sequences._recurrence
+    # only the recurrence route runs the recurrence: every family and
+    # fib_p_number take the power past the rule and the closed form short
+    # of it, so the route stays their independent oracle
+    def work(*args):
+        raise AssertionError("the recurrence ran outside its route")
 
-    def recorded(p, n, *args):
-        calls.append((p, n))
-        return recurrence(p, n, *args)
-
-    monkeypatch.setattr(sequences, "_recurrence", recorded)
-    assert family_value(get_family("jacobsthal-numbers"), 20000) != ZERO
-    assert calls == []
+    monkeypatch.setattr(sequences, "_recurrence", work)
+    cases = [(1, 3001), (2, 300), (40, 100), (300, 3001)]
+    assert {sequences._power_wins(p, n) for p, n in cases} == {True, False}
+    for p, n in cases:
+        for fam in FAMILIES.values():
+            assert family_value(fam, n, p=p) != ZERO, (fam.name, p, n)
+        assert fib_p_number(p, n) > 0
     assert family_value(get_family("fibonacci-p-numbers"), 100, p=40) == BivarPoly.constant(231)
-    assert calls == [(40, 100)]
+    assert fib_p_number(40, 100) == 231
 
 
 def test_power_never_runs_where_its_coefficients_outnumber_the_terms():
@@ -713,19 +719,24 @@ def test_constant_family_matches_a_recurrence_on_pairs(case):
     # written here, on both sides of the rule that picks the power
     cx, cy = GAUSSIAN_CONSTANTS[case]
     fam = FamilySpec(case, *(BivarPoly.constant(GaussianInt(*c)) for c in (cx, cy)), None)
-    ns = [*range(201), 3001]
-    for p in range(1, 8):
+    cases = {p: [*range(201), 3001] for p in range(1, 8)} | {40: [3001]}
+    for p, ns in cases.items():
         values = pair_sequence(p, 3002, cx, cy)
         for n in ns:
             expected = BivarPoly.constant(GaussianInt(*values[n]))
             assert family_value(fam, n, p=p) == expected, (p, n)
-    sides = {sequences._power_wins(p, n) for p in range(1, 8) for n in ns}
+    sides = {sequences._power_wins(p, n) for p, ns in cases.items() for n in ns}
     assert sides == {True, False}
 
 
-@pytest.mark.parametrize("p", [1, 2])
+# p -> n: past the rule at p = 1 and 2, short of it at p = 40 and 300
+PLAIN_LOOP_N = {1: 20001, 2: 20001, 40: 3001, 300: 3001}
+
+
+@pytest.mark.parametrize("p", PLAIN_LOOP_N)
 def test_fib_p_number_matches_a_plain_loop_at_large_n(p):
-    assert fib_p_number(p, 20001) == int_sequence(p, 20001)
+    n = PLAIN_LOOP_N[p]
+    assert fib_p_number(p, n) == int_sequence(p, n)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
