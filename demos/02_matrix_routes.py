@@ -32,9 +32,9 @@ for name, builder, evaluate in (
     print("  ->", evaluate(a))
     print()
 
-# Brute-force oracles (Laplace expansion, permutation sum) agree at
-# small orders, ignoring the banded structure entirely.
+# Brute-force oracles (one first-row Laplace expansion, signed for det,
+# sign-free for per) agree at small orders, ignoring the band entirely.
 w = build_w(p, order)
 h = build_h(p, order)
-print("Laplace oracle on W:    ", det_oracle(w))
-print("permutation oracle on H:", per_oracle(h))
+print("det oracle on W:", det_oracle(w))
+print("per oracle on H:", per_oracle(h))

@@ -42,19 +42,25 @@ no row reads, minor n among them, is never kept.  A matrix with one
 sub-diagonal band at offset p therefore holds p + 1 minors between rows,
 not n + 1, and memory is O(p * terms) instead of O(n * terms).
 
-The brute-force oracles (first-row Laplace expansion, permutation sum)
-ignore the Hessenberg structure entirely and exist to cross-check the
-recursions at small orders.
+``last_poly`` takes a stream's last raw value as a ``BivarPoly``; the
+det/per evaluators here and every route in ``sequences`` read their one
+value through it.
+
+The brute-force oracles cross-check the recursions at small orders by one
+expansion, ``_laplace``, along the first row (the recursion expands along
+the last), signed for det and sign-free for per.  They carry no
+superdiagonal products and read no band: only the matrix being
+lower-Hessenberg keeps each first row at two nonzeros and each minor
+lower-Hessenberg, so an order-n oracle has at most 2^(n-1) leaves.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from itertools import permutations
 
 from .matrices import HessenbergMatrix
-from .ring import ONE, BivarPoly, Frozen, ZERO, check_count, kernel_for
+from .ring import BivarPoly, Frozen, ZERO, check_count, kernel_for
 
 
 class BudgetExceeded(ValueError):
@@ -64,8 +70,8 @@ class BudgetExceeded(ValueError):
 class EvalBudget(Frozen):
     """Order caps for the brute-force oracles.
 
-    Defaults keep the full oracle suite at a few seconds: Laplace
-    expansion up to 10, permutation sum up to 8.
+    Both oracles run the same first-row expansion; the defaults, 10 for
+    det and 8 for per, keep the oracle routes to small orders.
     """
 
     __slots__ = ("max_det_order", "max_per_order")
@@ -117,9 +123,15 @@ def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
         yield minor
 
 
+def last_poly(ring, values: Iterator, degree: int) -> BivarPoly:
+    """The last raw value of the stream ``values`` as ``ring``'s
+    ``BivarPoly`` of the given degree, or zero for an empty stream."""
+    tail = deque(values, maxlen=1)
+    return ring.poly(tail[0], degree) if tail else ZERO
+
+
 def _whole(a: HessenbergMatrix, signed: bool) -> BivarPoly:
-    ring, minors = leading_minors(a, signed)
-    return ring.poly(deque(minors, maxlen=1)[0], a.n)
+    return last_poly(*leading_minors(a, signed), a.n)
 
 
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:
@@ -134,45 +146,30 @@ def per_hessenberg(a: HessenbergMatrix) -> BivarPoly:
 
 def det_oracle(a: HessenbergMatrix, budget: EvalBudget | None = None) -> BivarPoly:
     """Determinant by first-row Laplace cofactor expansion."""
-    budget = budget or EvalBudget()
-    if a.n > budget.max_det_order:
-        raise BudgetExceeded(
-            f"order {a.n} exceeds det oracle cap {budget.max_det_order}"
-        )
-    return _laplace(list(list(row) for row in a.rows()))
-
-
-def _laplace(rows: list[list[BivarPoly]]) -> BivarPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        c = rows[0][j]
-        if c.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        cof = c * _laplace(minor)
-        total = total + (-cof if j % 2 else cof)
-    return total
+    return _oracle(a, (budget or EvalBudget()).max_det_order, "det", signed=True)
 
 
 def per_oracle(a: HessenbergMatrix, budget: EvalBudget | None = None) -> BivarPoly:
-    """Permanent by summing over all n! permutations."""
-    budget = budget or EvalBudget()
-    if a.n > budget.max_per_order:
-        raise BudgetExceeded(
-            f"order {a.n} exceeds permanent oracle cap {budget.max_per_order}"
-        )
-    n = a.n
+    """Permanent by first-row Laplace expansion without signs."""
+    return _oracle(a, (budget or EvalBudget()).max_per_order, "permanent", signed=False)
+
+
+def _oracle(a: HessenbergMatrix, cap: int, what: str, signed: bool) -> BivarPoly:
+    if a.n > cap:
+        raise BudgetExceeded(f"order {a.n} exceeds {what} oracle cap {cap}")
+    return _laplace(a.rows(), signed)
+
+
+def _laplace(rows, signed: bool) -> BivarPoly:
+    """The det (``signed``) or per of ``rows`` by expansion along the first
+    row: the sum of each nonzero entry times the expansion of its minor,
+    negated at odd columns for det."""
+    if len(rows) == 1:
+        return rows[0][0]
     total = ZERO
-    for sigma in permutations(range(n)):
-        prod = ONE
-        for i in range(n):
-            entry = a[i, sigma[i]]
-            if entry.is_zero():
-                prod = ZERO
-                break
-            prod = prod * entry
-        total = total + prod
+    for j, c in enumerate(rows[0]):
+        if c.is_zero():
+            continue
+        cof = c * _laplace([row[:j] + row[j + 1 :] for row in rows[1:]], signed)
+        total = total + (-cof if signed and j % 2 else cof)
     return total

@@ -23,16 +23,16 @@ one-pair case, and a recursion step such as x*G(n-1) + y*G(n-p-1) is one
 call, so the step builds no intermediate product polynomials.
 
 The Hessenberg recursion of ``evaluators`` is written once over a small
-ring interface (zero, one, unit, scalar, times, sum_of_products, poly)
+ring interface (one, unit, scalar, times, sum_of_products, poly)
 with two implementations: ``PolyKernel`` on ``BivarPoly`` itself, and
 ``GradedKernel`` on weighted-homogeneous values, where x has weight 1 and
 y weight w.  G(p, n), with a family's constants folded into its
 coefficients, and every leading minor of the W/M/H/K matrices are such
 values for w = p + 1.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
-of plain ints indexed by j (and a second list for the imaginary parts,
-once a step makes one): no exponent is stored or hashed, multiplying by x is
-free, and multiplying by y shifts the list.  ``GradedKernel.poly`` is the
+of plain ints indexed by j, and a second list for the imaginary parts,
+empty until a step makes one: no exponent is stored or hashed,
+multiplying by x is free, and multiplying by y shifts the list.  ``GradedKernel.poly`` is the
 one way back to a ``BivarPoly``.  ``kernel_for`` picks the kernel from the
 factors a recursion will read and the degree each one must have: the
 graded kernel when one y-weight fits them all, else ``PolyKernel``.
@@ -392,7 +392,7 @@ class PolyKernel:
     over both kernels: a value and a scalar are ``BivarPoly`` too, and
     every product is ``*``."""
 
-    zero, one, unit = ZERO, ONE, ONE
+    one = unit = ONE
 
     @staticmethod
     def scalar(e: BivarPoly, negate: bool) -> BivarPoly:
@@ -416,7 +416,7 @@ class GradedKernel:
 
     A value of degree d is fixed by its coefficient of x^(d - w*j) y^j for
     each y-degree j, so it is held as ``(re, im)``: dense lists of the real
-    and imaginary parts of those coefficients, with ``im`` None until a step
+    and imaginary parts of those coefficients, ``im`` empty until a step
     makes an imaginary part.  No x-exponent is stored; the caller knows each
     value's degree.  A scalar (weight 0) is a pair ``(re, im)`` of ints.  A
     factor, such as a matrix entry, stays a graded ``BivarPoly``: its term
@@ -424,8 +424,8 @@ class GradedKernel:
     products is a few list adds.
     """
 
-    zero = ([], None)
-    one = ([1], None)
+    zero = ([], [])
+    one = ([1], [])
     unit = (1, 0)
 
     def __init__(self, w: int):
@@ -446,22 +446,22 @@ class GradedKernel:
     def sum_of_products(triples):
         """f1*s1*v1 + f2*s2*v2 + ... over (factor, scalar, value) triples,
         as one value."""
-        re = im = None  # None: all zero, and no list made yet
+        re, im = [], []
         for f, (sr, si), (vr, vi) in triples:
             for (_, j, ie), c in f._terms.items():
                 # cr + ci*i = c*s, or c*i*s for an i-term
                 cr, ci = (-c * si, c * sr) if ie else (c * sr, c * si)
                 # (cr + ci*i)(vr + vi*i) = cr*vr - ci*vi + (cr*vi + ci*vr)*i
                 if cr:
-                    re = _add_scaled(re, j, cr, vr)
+                    _add_scaled(re, j, cr, vr)
                 if ci:
-                    im = _add_scaled(im, j, ci, vr)
+                    _add_scaled(im, j, ci, vr)
                 if vi:
                     if ci:
-                        re = _add_scaled(re, j, -ci, vi)
+                        _add_scaled(re, j, -ci, vi)
                     if cr:
-                        im = _add_scaled(im, j, cr, vi)
-        return re or [], im
+                        _add_scaled(im, j, cr, vi)
+        return re, im
 
     @staticmethod
     def seed(e: BivarPoly, var: str) -> tuple[int, int, int]:
@@ -484,25 +484,24 @@ class GradedKernel:
         w = self.w
         terms = {}
         for ie, part in enumerate(value):
-            for j, c in enumerate(part or ()):
+            for j, c in enumerate(part):
                 if c:
                     terms[(xe * (degree - w * j), ye * j, ie)] = c
         return _wrap(terms)
 
 
-def _add_scaled(out: list[int] | None, j: int, c: int, v: list[int]) -> list[int]:
+def _add_scaled(out: list[int], j: int, c: int, v: list[int]) -> None:
     """out[j + k] += c * v[k] for every k, in place, extending ``out`` with
-    zeros as needed, and returns it.  An ``out`` of None stands for zeros:
-    the first addition makes the list by copying instead of adding."""
+    zeros as needed.  An empty ``out`` stands for zeros: the first addition
+    copies instead of adding."""
     part = v if c == 1 else map(mul, v, repeat(c))
-    if out is None:
-        out = [0] * j
+    if not out:
+        out.extend(repeat(0, j))
         out.extend(part)
-        return out
+        return
     end = j + len(v)
     out.extend(repeat(0, end - len(out)))
     out[j:end] = map(add, out[j:end], part)
-    return out
 
 
 def kernel_for(pairs):

@@ -55,7 +55,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import islice
 
-from .evaluators import det_oracle, leading_minors, per_oracle
+from .evaluators import det_oracle, last_poly, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GaussianInt, GradedKernel, check_count
 
@@ -145,7 +145,7 @@ def _closed(p: int, n: int):
     for j in range((n - 1) // (p + 1)):
         top = n - 1 - p * j
         coeffs.append(coeffs[-1] * math.perm(top - j, p + 1) // ((j + 1) * math.perm(top, p)))
-    return coeffs, None
+    return coeffs, []
 
 
 def _fold(g, d: int, w: int, cx, cy):
@@ -172,12 +172,6 @@ def _fold(g, d: int, w: int, cx, cy):
         im.append(c * si)
         y_power = times(y_power, cy)
     return re, im
-
-
-def _last(terms: Iterator, empty=None):
-    """The last of ``terms``, or ``empty`` if there is none."""
-    tail = deque(terms, maxlen=1)
-    return tail[0] if tail else empty
 
 
 def f_poly(p: int, n: int) -> BivarPoly:
@@ -287,7 +281,7 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     g = _fold(_closed(eff_p, m), m - 1, ring.w, cx, cy)
     if not xe | ye:
         # two constants put every term of G on the monomial 1: add them up
-        g = [sum(g[0])], [sum(g[1] or ())]
+        g = [sum(g[0])], [sum(g[1])]
     # a variable seed keeps each term of G its own monomial
     return ring.poly(g, m - 1, xe, ye)
 
@@ -332,8 +326,7 @@ class _Route:
         self.prefix = prefix
 
     def __call__(self, p: int, n: int) -> BivarPoly:
-        ring, values = self.prefix(p, n)
-        return ring.poly(_last(values, ring.zero), n - 1)
+        return last_poly(*self.prefix(p, n), n - 1)
 
 
 def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:

@@ -69,7 +69,7 @@ def test_criterion_4_oracle_equivalence():
                 a = builder(p, n)
                 assert det_hessenberg(a) == det_oracle(a)
                 assert per_hessenberg(a) == per_oracle(a)
-    print("PASS criterion 4: recursion equals Laplace/permutation oracles")
+    print("PASS criterion 4: recursion equals the first-row expansion oracles")
 
 
 def test_criterion_5_specializations():

@@ -285,6 +285,15 @@ def test_json_round_trip_past_the_int_digit_limit(capsys):
     assert poly == BivarPoly.constant(fibonacci(BIG_N))
 
 
+def test_family_without_the_int_digit_limit_api(capsys, monkeypatch):
+    # CPython before 3.10.7 has no digit limit, so there is none to lift
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    code, out, _ = run(capsys, "family", "--name", "fibonacci-numbers", "--n", "300")
+    assert code == EXIT_OK
+    assert out.strip() == str(fibonacci(300))
+
+
 # --- check --------------------------------------------------------------------
 
 

@@ -13,8 +13,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from fibhess.evaluators import det_hessenberg, per_hessenberg  # noqa: E402
-from fibhess.matrices import build_h, build_k, build_m, build_w  # noqa: E402
+from fibhess.evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle  # noqa: E402
+from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w  # noqa: E402
 from fibhess.ring import BivarPoly, GaussianInt  # noqa: E402
 
 x, y = sympy.symbols("x y")
@@ -76,6 +76,46 @@ def test_sympy_permanent_agrees_with_sympy_per():
     a = build_h(2, 5)
     entries = [[to_sympy(e) for e in row] for row in a.rows()]
     assert sympy.expand(sympy_permanent(entries) - sympy.Matrix(entries).per()) == 0
+
+
+def random_hessenberg(rng, n, graded):
+    """A lower-Hessenberg matrix of order n with random Gaussian-integer
+    coefficients, about a quarter of its entries zero.  In a graded one,
+    entry (i, j) is weighted-homogeneous of degree i - j + 1 with y of
+    weight 2, as in the builders' matrices; an ungraded one has terms
+    x^a y^b with a, b <= 1 anywhere."""
+
+    def entry(d):
+        if rng.random() < 0.25:
+            return BivarPoly()
+        if graded:
+            monos = [(d - 2 * b, b) for b in range(d // 2 + 1)]
+        else:
+            monos = [(a, b) for a in range(2) for b in range(2)]
+        return BivarPoly(
+            {
+                mono: GaussianInt(rng.randint(-3, 3), rng.randint(-3, 3))
+                for mono in rng.sample(monos, rng.randint(1, min(3, len(monos))))
+            }
+        )
+
+    return HessenbergMatrix(
+        [[entry(i - j + 1) if j <= i + 1 else BivarPoly() for j in range(n)] for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize("graded", [True, False], ids=["graded", "ungraded"])
+def test_oracles_match_sympy_on_general_matrices(graded):
+    # elsewhere general matrices hold the oracles only to the recursion,
+    # which is fibhess code too
+    rng = random.Random(41 + graded)
+    for n in range(1, 7):
+        for _ in range(2):
+            a = random_hessenberg(rng, n, graded)
+            entries = [[to_sympy(e) for e in row] for row in a.rows()]
+            det = sympy.Matrix(entries).det(method="berkowitz")
+            assert same(det_oracle(a), det), (n, graded)
+            assert same(per_oracle(a), sympy_permanent(entries)), (n, graded)
 
 
 def random_poly(rng):
