@@ -107,26 +107,25 @@ def _power(p: int, m: int, cx, cy) -> tuple[int, int]:
     runs from the exponent's top bit down: each bit squares the residue,
     shifts it by t for a 1, and folds each coefficient of t^k, k > p, into
     t^(k-1) times cx and t^(k-p-1) times cy, top first.  It holds p + 1
-    coefficients; ``_power_wins`` decides when it runs."""
-    times = GradedKernel.times
+    coefficients; ``_power_wins`` decides when it runs.  Every Gaussian
+    product is written out in plain ints, (ar + ai*i)(br + bi*i) =
+    ar*br - ai*bi + (ar*bi + ai*br)*i, with no call per product."""
+    (xr, xi), (yr, yi) = cx, cy
     residue = [(1, 0)]  # t^0
     for bit in bin(m - 1 + p)[2:]:
         shift = bit == "1"
         size = 2 * len(residue) - 1 + shift
         re, im = [0] * size, [0] * size
-        for i, a in enumerate(residue):
-            for k, b in enumerate(residue, i + shift):
-                r, s = times(a, b)
-                re[k] += r
-                im[k] += s
+        for i, (ar, ai) in enumerate(residue):
+            for k, (br, bi) in enumerate(residue, i + shift):
+                re[k] += ar * br - ai * bi
+                im[k] += ar * bi + ai * br
         for k in range(size - 1, p, -1):
-            c = re[k], im[k]
-            r, s = times(cx, c)
-            re[k - 1] += r
-            im[k - 1] += s
-            r, s = times(cy, c)
-            re[k - p - 1] += r
-            im[k - p - 1] += s
+            r, s = re[k], im[k]
+            re[k - 1] += xr * r - xi * s
+            im[k - 1] += xr * s + xi * r
+            re[k - p - 1] += yr * r - yi * s
+            im[k - p - 1] += yr * s + yi * r
         residue = list(zip(re[: p + 1], im[: p + 1]))
     return residue[p]
 
@@ -137,40 +136,46 @@ def _closed(p: int, n: int):
     (``GradedKernel.zero`` for n < 1).  With N = n-1-p*j, each binomial
     follows from the last by one exact ratio:
     C(N-p, j+1) = C(N, j) * perm(N-j, p+1) / ((j+1) * perm(N, p)).
+    The last binomial and N, which falls by p each step, are carried in
+    locals.
     The loop runs (n-1) // (p+1) times, so a p far past n costs nothing.
     The arguments are not checked."""
     if n < 1:
         return GradedKernel.zero
-    coeffs = [1]
+    coeff, top, coeffs = 1, n - 1, [1]
     for j in range((n - 1) // (p + 1)):
-        top = n - 1 - p * j
-        coeffs.append(coeffs[-1] * math.perm(top - j, p + 1) // ((j + 1) * math.perm(top, p)))
+        coeff = coeff * math.perm(top - j, p + 1) // ((j + 1) * math.perm(top, p))
+        coeffs.append(coeff)
+        top -= p
     return coeffs, []
 
 
 def _fold(g, d: int, w: int, cx, cy):
     """G's graded value ``g`` of degree d, with its coefficient c_j of
     x^(d - w*j)*y^j multiplied by cx^(d - w*j)*cy^j, as a graded value with
-    both parts.  G's coefficients are real; the scalars cx and cy, and the
-    running powers of cx^w (descending, from the last term) and of cy
-    (ascending), are Gaussian ``(re, im)`` pairs, so 0^0 = 1."""
+    both parts.  G's coefficients are real; the scalars cx and cy are
+    Gaussian ``(re, im)`` pairs, so 0^0 = 1.  The powers cx^(d - w*j) are
+    listed from the last j down, by running powers of cx^w, and cy^j is
+    carried up beside the coefficients; each Gaussian product is written
+    out in plain ints, with no call per product."""
     coeffs = g[0]
     if not coeffs:
         return g
-    times = GradedKernel.times
     base, last = GaussianInt(*cx), len(coeffs) - 1
     # cx^w is read only past one coefficient, and then w <= d: a p far past
     # d raises cx to no power beyond cx^d
     low, step = base ** (d - w * last), base ** (w if last else 0)
-    x_powers = [(low.re, low.im)]  # cx^(d - w*j), from the last j down
+    xr, xi, sr, si = low.re, low.im, step.re, step.im
+    x_powers = [(xr, xi)]  # cx^(d - w*j), from the last j down
     for _ in range(last):
-        x_powers.append(times(x_powers[-1], (step.re, step.im)))
-    re, im, y_power = [], [], (1, 0)
-    for c, x_power in zip(coeffs, reversed(x_powers)):
-        sr, si = times(x_power, y_power)
-        re.append(c * sr)
-        im.append(c * si)
-        y_power = times(y_power, cy)
+        xr, xi = xr * sr - xi * si, xr * si + xi * sr
+        x_powers.append((xr, xi))
+    (cr, ci), yr, yi = cy, 1, 0  # cy and its running power cy^j
+    re, im = [], []
+    for c, (xr, xi) in zip(coeffs, reversed(x_powers)):
+        re.append(c * (xr * yr - xi * yi))
+        im.append(c * (xr * yi + xi * yr))
+        yr, yi = yr * cr - yi * ci, yr * ci + yi * cr
     return re, im
 
 

@@ -654,16 +654,36 @@ VARIABLE_SEED = sorted(
 )
 
 
-@pytest.mark.parametrize("name", VARIABLE_SEED)
+def fold_by_powers(g, d, w, cx, cy):
+    """G's raw value ``g`` of degree d with c_j scaled by cx^(d - w*j)*cy^j,
+    by one ``GaussianInt`` power of each constant per coefficient: the
+    oracle of ``sequences._fold``'s running powers."""
+    cx, cy = GaussianInt(*cx), GaussianInt(*cy)
+    terms = [GaussianInt(c) * cx ** (d - w * j) * cy**j for j, c in enumerate(g[0])]
+    return [t.re for t in terms], [t.im for t in terms]
+
+
+# every variable-seed family, and two user specs with Gaussian constants
+LARGE_N_SPECS = {
+    **{name: get_family(name) for name in VARIABLE_SEED},
+    **{
+        case: FamilySpec(case, *SEEDS[case], None)
+        for case in ("two gaussian c*x, c*y", "gaussian c*x, c for y")
+    },
+}
+
+
+@pytest.mark.parametrize("name", LARGE_N_SPECS)
 def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
-    # the recurrence is the family path's independent oracle at G(p, 3001)
-    fam = get_family(name)
+    # the recurrence, scaled by a power of each constant per coefficient, is
+    # the family path's independent oracle at G(p, 3001)
+    fam = LARGE_N_SPECS[name]
     p = fam.p or 2
     m = 3001
     xe, *cx = GradedKernel.seed(fam.xsub, "x")
     ye, *cy = GradedKernel.seed(fam.ysub, "y")
     kernel = GradedKernel(p + 1)
-    folded = sequences._fold(recurrence_value(p, m), m - 1, p + 1, cx, cy)
+    folded = fold_by_powers(recurrence_value(p, m), m - 1, p + 1, cx, cy)
     expected = kernel.poly(folded, m - 1, xe, ye)
     assert family_value(fam, m - fam.index_offset, p=p) == expected
 
