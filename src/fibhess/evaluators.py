@@ -17,14 +17,17 @@ row builds one new value.
 
 The loop is written once over the ring's kernel interface.  The kernel is
 picked before the loop starts: ``leading_minors`` passes
-``ring.kernel_for`` each nonzero entry (i, j) with its degree i - j + 1,
-and ``_recursion`` then reads the rows a second time to list each row's
-entries.  A graded matrix (every entry weighted-homogeneous of that
-degree, with y of weight w; all four families are, with w = p + 1) runs on
-``GradedKernel``: its superdiagonal entries are then Gaussian scalars, so
-the carried product is a pair of ints, and its minors are dense
-coefficient lists.  Any other matrix runs on ``PolyKernel``, on
-``BivarPoly`` itself.
+``ring.kernel_for`` each nonzero entry (i, j) with its degree i - j + 1.
+``_recursion`` then makes one set-up pass over the rows for the
+superdiagonal scalars and each minor's last reader.  The loop reads each
+row's entries as stored, with no sort: a matrix stores each row in
+reading order, its superdiagonal entry first and then the diagonal and
+the entries to its left, nearest first.  A graded matrix (every entry
+weighted-homogeneous of that degree, with y of weight w; all four
+families are, with w = p + 1) runs on ``GradedKernel``: its
+superdiagonal entries are then Gaussian scalars, so the carried product
+is a pair of ints, and its minors are dense coefficient lists.  Any
+other matrix runs on ``PolyKernel``, on ``BivarPoly`` itself.
 
 The recursion computes every leading minor on its way to order n, so it
 is a generator: ``leading_minors`` returns the kernel it runs on and an
@@ -87,32 +90,37 @@ def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[object, Iterator]
     over the det (``signed``) or per of a's leading k x k blocks for
     k = 0..n, in order, as raw values of that kernel: ``ring.poly(value, k)``
     is block k's ``BivarPoly``.  The kernel is picked from the nonzeros
-    when this is called; the row lists are made at the iterator's first
-    ``next()``, and the recursion runs as it is consumed."""
+    when this is called; the set-up pass over the rows runs at the
+    iterator's first ``next()``, and the recursion as it is consumed."""
     ring = kernel_for((i - j + 1, e) for i, row in enumerate(a._rows) for j, e in row.items())
     return ring, _recursion(a, ring, signed)
 
 
 def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
-    n, rows = a.n, a._rows
-    # lower[i]: row i's nonzero (col, entry) pairs on or left of the
-    # diagonal, nearest the diagonal first
-    lower = [
-        [(j, row[j]) for j in sorted(row, reverse=True) if j <= i] for i, row in enumerate(rows)
-    ]
-    # superdiag[k] = a[k, k+1], negated for det: a product of i - c of them
-    # then carries the sign (-1)^(i-c)
-    superdiag = [ring.scalar(rows[k].get(k + 1, ZERO), signed) for k in range(n - 1)]
-    # last_read[c]: the last row with a nonzero in lower column c, the last
-    # to read minor c; a minor no row reads has no key
-    last_read = {c: i for i, entries in enumerate(lower) for c, _ in entries}
+    rows = a._rows
+    # one pass over the rows: superdiag[k] = a[k, k+1], negated for det, so
+    # that a product of i - c of them carries the sign (-1)^(i-c);
+    # last_read[c] is the last row with a nonzero in column c on or below
+    # the diagonal, the last to read minor c, and a minor no row reads has
+    # no key
+    superdiag, last_read = [], {}
+    for i, row in enumerate(rows):
+        superdiag.append(ring.scalar(row.get(i + 1, ZERO), signed))
+        for c in row:
+            if c <= i:
+                last_read[c] = i
     # minors[k] = det/per of the leading k x k block, kept until its last read
     minors = {0: ring.one}
     yield ring.one
-    for i in range(n):
+    for i, row in enumerate(rows):
         triples = []
         prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
-        for c, entry in lower[i]:
+        # row i as stored: its superdiagonal entry first, which the rows
+        # below read through superdiag, then the diagonal and leftwards,
+        # nearest first, so the product grows one factor at a time
+        for c, entry in row.items():
+            if c > i:
+                continue
             while k > c:
                 k -= 1
                 prod = ring.times(prod, superdiag[k])

@@ -16,6 +16,12 @@ of them here), so building and storing one costs O(n), not O(n^2).
 Whether a matrix is graded, and so runs on the ring's graded kernel, is
 found by the evaluators from the entries they read, not stored here.
 
+Each row's ``{col: entry}`` map holds its entries in the order the
+evaluators' recursion reads them: the superdiagonal entry first, then the
+diagonal, then the entries to its left, nearest the diagonal first.  The
+dense constructor, the builders and ``scale_row`` all store that order,
+so the recursion reads a row's entries as stored, with no sort.
+
 A matrix is checked once, where it comes in from outside: the dense
 constructor ``HessenbergMatrix(entries)`` checks its shape and its entry
 types.  The builders' own rows, and the rows ``scale_row`` makes, are
@@ -34,35 +40,43 @@ class ShapeError(ValueError):
 class HessenbergMatrix:
     """Immutable square lower-Hessenberg matrix over BivarPoly.
 
-    Stored by its nonzeros, one ``{col: entry}`` map per row; ``rows()``
-    and ``str()`` build the dense view on demand.
+    Stored by its nonzeros, one ``{col: entry}`` map per row, in reading
+    order: superdiagonal, diagonal, then leftwards.  ``rows()`` and
+    ``str()`` build the dense view, column by column, on demand.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, entries):
-        rows = [dict(enumerate(row)) for row in entries]
+        rows = [tuple(row) for row in entries]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ShapeError("matrix must be square")
         if n == 0:
             raise ShapeError("matrix order must be at least 1")
         for i, row in enumerate(rows):
-            for j, e in row.items():
+            for j, e in enumerate(row):
                 if not isinstance(e, BivarPoly):
                     raise TypeError("entries must be BivarPoly")
                 if j - i > 1 and not e.is_zero():
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
-        self._rows = tuple({j: e for j, e in r.items() if not e.is_zero()} for r in rows)
+        # row i's columns in reading order: i + 1 (if inside), i, ..., 0
+        self._rows = tuple(
+            {j: row[j] for j in range(min(i + 1, n - 1), -1, -1) if not row[j].is_zero()}
+            for i, row in enumerate(rows)
+        )
 
     @classmethod
     def _from_nonzeros(cls, rows) -> "HessenbergMatrix":
         """Matrix stored as ``rows`` are given, with no check: one
         ``{col: entry}`` map per row, at least one row, each entry a
-        nonzero BivarPoly in the lower-Hessenberg shape.  Only the
-        library's own rows (the builders', ``scale_row``'s) come here."""
+        nonzero BivarPoly in the lower-Hessenberg shape, and each map in
+        reading order: row i's entry at column i + 1 first, then column i,
+        then columns i - 1, i - 2, ... with gaps where an entry is zero.
+        The recursion reads the maps in that order.  Only the library's
+        own rows (the builders', ``scale_row``'s) come here."""
         a = cls.__new__(cls)
         a._rows = tuple(rows)
         return a
@@ -87,7 +101,8 @@ class HessenbergMatrix:
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
         """Copy with every entry of 0-based row i multiplied by the scalar
         c, an int or a ``GaussianInt``.  The other rows are shared with
-        this matrix, and a zero c leaves row i with no entries."""
+        this matrix, row i keeps its reading order, and a zero c leaves it
+        with no entries."""
         if not isinstance(i, int):
             raise TypeError(f"row index must be an int, got {i!r}")
         if not 0 <= i < self.n:
@@ -109,9 +124,8 @@ def _build_banded(p: int, n: int, superdiag, band) -> HessenbergMatrix:
     superdiag, band_entry = BivarPoly.constant(superdiag), Y.scale(band**p)
     rows = []
     for i in range(n):
-        row = {i: X}
-        if i + 1 < n:
-            row[i + 1] = superdiag
+        row = {i + 1: superdiag} if i + 1 < n else {}
+        row[i] = X
         if i - p >= 0:
             row[i - p] = band_entry
         rows.append(row)

@@ -493,14 +493,18 @@ class GradedKernel:
 def _add_scaled(out: list[int], j: int, c: int, v: list[int]) -> None:
     """out[j + k] += c * v[k] for every k, in place, extending ``out`` with
     zeros as needed.  An empty ``out`` stands for zeros: the first addition
-    copies instead of adding."""
+    copies instead of adding.  A pad is made only where one is needed: at
+    a shift j > 0 into an empty ``out``, and where v ends past ``out``'s
+    end; most adds need neither."""
     part = v if c == 1 else map(mul, v, repeat(c))
     if not out:
-        out.extend(repeat(0, j))
+        if j:
+            out.extend(repeat(0, j))
         out.extend(part)
         return
     end = j + len(v)
-    out.extend(repeat(0, end - len(out)))
+    if end > len(out):
+        out.extend(repeat(0, end - len(out)))
     out[j:end] = map(add, out[j:end], part)
 
 

@@ -26,12 +26,12 @@ y, for a Gaussian integer c (and optionally shift the index), to recover
 classical families: Fibonacci, Pell, Jacobsthal, and second-kind
 Chebyshev.  Substitution is a ring homomorphism and G(p, m) is graded, so
 a family reads G's coefficients from its closed form,
-sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, one exact binomial ratio
-each, and scales each coefficient once: the coefficient of x^(d-w*j)*y^j
-takes cx^(d-w*j)*cy^j.  With a variable seed, distinct j stay distinct
-monomials; with two constants, every term lands on 1 and they add up to
-one coefficient, and ``fib_p_number`` (cx = cy = 1) is the plain sum of
-G's coefficients.
+sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, one ``math.comb`` or one
+exact binomial ratio each, and scales each coefficient once: the
+coefficient of x^(d-w*j)*y^j takes cx^(d-w*j)*cy^j.  With a variable
+seed, distinct j stay distinct monomials; with two constants, every term
+lands on 1 and they add up to one coefficient, and ``fib_p_number``
+(cx = cy = 1) is the plain sum of G's coefficients.
 
 At two constants, G(p, m) is also a scalar linear recurrence of order
 p + 1, so it is the t^p coefficient of t^(m-1+p) mod
@@ -92,7 +92,7 @@ def _power_wins(p: int, m: int) -> bool:
     number at most m, the steps of the recurrence it skips,
     (p + 1)^2 * bit_length(m + p) <= m.  So it never runs when m <= p + 1,
     where its p + 1 coefficients would outnumber G's terms, however large p
-    is.  The closed form makes (m - 1) // (p + 1) ratio steps instead, so
+    is.  The closed form makes (m - 1) // (p + 1) steps instead, so
     the rule leans to the closed form, which is the faster one at some
     points short of it, such as (5, 300)."""
     return (p + 1) ** 2 * (m + p).bit_length() <= m
@@ -133,17 +133,30 @@ def _power(p: int, m: int, cx, cy) -> tuple[int, int]:
 def _closed(p: int, n: int):
     """G(p, n)'s raw graded value from its closed form,
     G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints
-    (``GradedKernel.zero`` for n < 1).  With N = n-1-p*j, each binomial
-    follows from the last by one exact ratio:
+    (``GradedKernel.zero`` for n < 1).  With N = n-1-p*j, coefficients
+    j <= 2p are ``math.comb(N, j)``, and each one past them follows from
+    the last by one exact ratio:
     C(N-p, j+1) = C(N, j) * perm(N-j, p+1) / ((j+1) * perm(N, p)).
-    The last binomial and N, which falls by p each step, are carried in
-    locals.
-    The loop runs (n-1) // (p+1) times, so a p far past n costs nothing.
-    The arguments are not checked."""
+    The rule is measured (2-vCPU Xeon, Python 3.11.7, n = 3000): a comb
+    costs about j factors and a ratio two perms of p factors.  At p = 1 to
+    40 the comb was the cheaper at each j <= 2p measured (at j = 2p, 0.13
+    against 0.37 us at p = 1, 0.59 against 0.84 us at p = 10) and about
+    even at j = 3p.  So a large p with few coefficients, such as
+    (1000, 30000), makes no perm of a thousand factors, and the ratio
+    keeps the many coefficients of a small p cheap: one comb per
+    coefficient took 20.2 s at (1, 20001).  The combs run in a loop of
+    their own before the ratio's, so a ratio step tests no rule.  N, which
+    falls by p each step, and the last binomial are carried in locals.
+    The two loops make (n-1) // (p+1) steps in all, so a p far past n
+    costs nothing.  The arguments are not checked."""
     if n < 1:
         return GradedKernel.zero
-    coeff, top, coeffs = 1, n - 1, [1]
-    for j in range((n - 1) // (p + 1)):
+    count, top, coeffs = (n - 1) // (p + 1), n - 1, [1]
+    for j in range(1, min(count, 2 * p) + 1):
+        top -= p
+        coeffs.append(math.comb(top, j))
+    coeff = coeffs[-1]
+    for j in range(len(coeffs) - 1, count):
         coeff = coeff * math.perm(top - j, p + 1) // ((j + 1) * math.perm(top, p))
         coeffs.append(coeff)
         top -= p

@@ -302,9 +302,14 @@ def test_graded_recursion_with_zero_diagonal_entries_matches_oracles(build):
     # graded, so this runs the graded kernel (the general matrices above
     # run PolyKernel)
     for p, n, zeros in ((1, 6, {0, 3}), (2, 7, {1, 2, 6}), (3, 8, set(range(8)))):
-        rows = [dict(row) for row in build(p, n)._rows]
-        for i in zeros:
-            del rows[i][i]
+        # each row in the reading order _from_nonzeros takes: column i + 1,
+        # then i unless it is zeroed, then the band at i - p
+        dense = build(p, n).rows()
+        rows = []
+        for i in range(n):
+            cols = [j for j in (i + 1, i, i - p) if 0 <= j < n and not (j == i and i in zeros)]
+            rows.append({j: dense[i][j] for j in cols})
+        assert all(list(row) == sorted(row, reverse=True) for row in rows)
         a = HessenbergMatrix._from_nonzeros(rows)
         assert isinstance(evaluators.leading_minors(a, True)[0], ring.GradedKernel)
         assert det_hessenberg(a) == det_oracle(a), (p, n, zeros)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from fibhess.evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle
 from fibhess.matrices import (
     HessenbergMatrix,
     ShapeError,
@@ -307,3 +308,64 @@ def test_banded_storage_is_linear_in_order():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# --- storage order ---------------------------------------------------------
+#
+# The recursion reads each row's map as stored, so every way of making a
+# matrix must store row i's columns in reading order: i + 1 first, then i,
+# then i - 1, i - 2, ..., with the zeros left out.
+
+
+def assert_reading_order(a):
+    dense = a.rows()
+    for i, row in enumerate(a._rows):
+        expected = [j for j in range(min(i + 1, a.n - 1), -1, -1) if not dense[i][j].is_zero()]
+        assert list(row) == expected, (i, list(row))
+        assert all(not e.is_zero() and e == dense[i][j] for j, e in row.items())
+
+
+def assert_matches_oracles(a):
+    assert det_hessenberg(a) == det_oracle(a)
+    assert per_hessenberg(a) == per_oracle(a)
+
+
+def dense_with_zeros():
+    """Order 5, with zeros on the diagonal, the superdiagonal and between
+    band entries, and explicit zeros above the superdiagonal."""
+    iy = Y.scale(GaussianInt(0, 1))
+    return [
+        [ZERO, I, ZERO, ZERO, ZERO],
+        [Y, X, ZERO, ZERO, ZERO],
+        [X + Y, ZERO, X, -ONE, ZERO],
+        [ZERO, iy, ONE, ZERO, I],
+        [Y, ZERO, ZERO, X + ONE, X],
+    ]
+
+
+def test_dense_constructor_stores_rows_in_reading_order():
+    for rows in (dense_with_zeros(), [[X]], [[ZERO]], [[X, ONE], [Y, X]]):
+        a = HessenbergMatrix(rows)
+        assert_reading_order(a)
+        assert a.rows() == tuple(map(tuple, rows))
+        assert_matches_oracles(a)
+    assert list(HessenbergMatrix(dense_with_zeros())._rows[2]) == [3, 2, 0]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_builders_store_rows_in_reading_order(builder, p):
+    for n in (1, 2, p + 1, p + 2, 8):
+        a = builder(p, n)
+        assert_reading_order(a)
+        assert_matches_oracles(a)
+    assert list(builder(p, 8)._rows[p + 1]) == [p + 2, p + 1, 1]
+
+
+@pytest.mark.parametrize("c", [2, GaussianInt(1, -1), 0, GaussianInt(0, 0)])
+def test_scale_row_keeps_reading_order(c):
+    for a in (build_w(2, 6), HessenbergMatrix(dense_with_zeros())):
+        for i in range(a.n):
+            scaled = a.scale_row(i, c)
+            assert_reading_order(scaled)
+            assert_matches_oracles(scaled)

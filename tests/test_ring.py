@@ -1,12 +1,13 @@
 """Gaussian integer and bivariate polynomial arithmetic."""
 
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibhess import build_h, build_w, det_hessenberg, f_poly, per_hessenberg
+from fibhess import build_h, build_w, det_hessenberg, f_poly, per_hessenberg, ring
 from fibhess.ring import (
     GI_ZERO,
     ONE,
@@ -269,6 +270,83 @@ def test_kernel_for_finds_the_one_y_weight(pairs, w):
         assert kernel is PolyKernel
     else:
         assert isinstance(kernel, GradedKernel) and kernel.w == w
+
+
+# --- the graded kernel's sum of products ---------------------------------
+#
+# GradedKernel.sum_of_products against BivarPoly arithmetic: each
+# (factor, scalar, value) triple must add f * s * v, with the value read
+# back through ``poly`` at its degree and the scalar as a constant.
+
+
+def graded_sum_by_polys(kernel, triples, degree):
+    total = ZERO
+    for f, (sr, si), value in triples:
+        v = kernel.poly(value, degree - f_degree(kernel, f))
+        total = total + f * BivarPoly.constant(GaussianInt(sr, si)) * v
+    return total
+
+
+def f_degree(kernel, f):
+    return next(xe + kernel.w * ye for xe, ye, _ in f._terms)
+
+
+def random_triples(rng, w, degree):
+    """1 to 4 triples of total degree ``degree``: a graded factor of
+    Gaussian terms, a Gaussian scalar, and a value whose imaginary list is
+    empty or not, any length its degree allows."""
+    triples = []
+    for _ in range(rng.randint(1, 4)):
+        fd = rng.randint(0, degree)
+        ys = rng.sample(range(fd // w + 1), rng.randint(1, fd // w + 1))
+        f = BivarPoly(
+            {(fd - w * j, j): GaussianInt(rng.randint(-3, 3), rng.randint(-2, 2)) for j in ys}
+        )
+        if f.is_zero():
+            f = BivarPoly({(fd - w * ys[0], ys[0]): 1})
+        size = rng.randint(0, (degree - fd) // w + 1)
+        re = [rng.randint(-9, 9) for _ in range(size)]
+        im = [rng.randint(-9, 9) for _ in range(rng.choice((0, size)))]
+        triples.append((f, (rng.randint(-2, 2), rng.randint(-2, 2)), (re, im)))
+    return triples
+
+
+def test_graded_sum_of_products_matches_poly_arithmetic():
+    rng = random.Random(25)
+    for _ in range(300):
+        kernel = GradedKernel(rng.randint(1, 3))
+        degree = rng.randint(0, 12)
+        triples = random_triples(rng, kernel.w, degree)
+        got = kernel.poly(kernel.sum_of_products(triples), degree)
+        assert got == graded_sum_by_polys(kernel, triples, degree), triples
+
+
+def test_graded_sum_of_products_pads_only_where_needed(monkeypatch):
+    # a first contribution at shift j = 1, then ones that end before, at and
+    # past the list built so far: each pad case of _add_scaled, on both
+    # parts, against BivarPoly arithmetic
+    cases = []
+    add_scaled = ring._add_scaled
+
+    def recorded(out, j, c, v):
+        end = j + len(v)
+        if not out:
+            cases.append("first at j > 0" if j else "first")
+        else:
+            cases.append("before" if end < len(out) else "at" if end == len(out) else "past")
+        return add_scaled(out, j, c, v)
+
+    monkeypatch.setattr(ring, "_add_scaled", recorded)
+    kernel, i = GradedKernel(1), GaussianInt(0, 1)
+    triples = [
+        (Y, (2, 0), ([1, 2, 3], [])),  # degree 1 + 5, lands on 1..3
+        (X, (1, -1), ([4, 5], [6])),  # lands on 0..1, before the end 4
+        (Y.scale(i), (3, 1), ([7, 8, 9], [1, 0, 2])),  # lands on 1..3, at the end
+        (Y * Y + X * X.scale(i), (-1, 2), ([1, 1, 1, 1, 1], [2, 0, 0, 0, 3])),  # past it
+    ]
+    got = kernel.poly(kernel.sum_of_products(triples), 6)
+    assert got == graded_sum_by_polys(kernel, triples, 6)
+    assert {"first at j > 0", "before", "at", "past"} <= set(cases)
 
 
 # --- substitution and evaluation ----------------------------------------

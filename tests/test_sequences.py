@@ -647,6 +647,16 @@ def test_closed_matches_the_recurrence_far_out(p, n):
     assert sequences._closed(p, n) == recurrence_value(p, n)
 
 
+@pytest.mark.parametrize("p, n", [(1000, 30000), (100, 3000), (40, 3001), (10, 3000)])
+def test_closed_matches_math_comb_at_large_p(p, n):
+    # coefficients j <= 2p take math.comb, so the first three, with fewer
+    # coefficients than that, make no ratio step; at (10, 3000) the ratio
+    # takes over from j = 21 to 272
+    coeffs, im = sequences._closed(p, n)
+    assert im == []
+    assert {(n - 1 - (p + 1) * j, j): c for j, c in enumerate(coeffs)} == closed_form(p, n)
+
+
 VARIABLE_SEED = sorted(
     name
     for name, fam in FAMILIES.items()
