@@ -152,20 +152,27 @@ def per_hessenberg(a: HessenbergMatrix) -> BivarPoly:
     return _whole(a, signed=False)
 
 
+def check_budget(order: int, signed: bool, budget: EvalBudget | None = None) -> None:
+    """Raise ``BudgetExceeded`` if ``order`` is past the det (``signed``) or
+    per oracle's cap in ``budget`` (the default caps when None).  The
+    oracles check their matrix's order with it, and the oracle routes check
+    the order they would build with it first."""
+    budget = budget or EvalBudget()
+    cap, what = (budget.max_det_order, "det") if signed else (budget.max_per_order, "permanent")
+    if order > cap:
+        raise BudgetExceeded(f"order {order} exceeds {what} oracle cap {cap}")
+
+
 def det_oracle(a: HessenbergMatrix, budget: EvalBudget | None = None) -> BivarPoly:
     """Determinant by first-row Laplace cofactor expansion."""
-    return _oracle(a, (budget or EvalBudget()).max_det_order, "det", signed=True)
+    check_budget(a.n, signed=True, budget=budget)
+    return _laplace(a.rows(), signed=True)
 
 
 def per_oracle(a: HessenbergMatrix, budget: EvalBudget | None = None) -> BivarPoly:
     """Permanent by first-row Laplace expansion without signs."""
-    return _oracle(a, (budget or EvalBudget()).max_per_order, "permanent", signed=False)
-
-
-def _oracle(a: HessenbergMatrix, cap: int, what: str, signed: bool) -> BivarPoly:
-    if a.n > cap:
-        raise BudgetExceeded(f"order {a.n} exceeds {what} oracle cap {cap}")
-    return _laplace(a.rows(), signed)
+    check_budget(a.n, signed=False, budget=budget)
+    return _laplace(a.rows(), signed=False)
 
 
 def _laplace(rows, signed: bool) -> BivarPoly:

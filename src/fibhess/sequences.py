@@ -18,8 +18,9 @@ value, the only one it converts to ``BivarPoly``; G(p, 0) = 0 is the value
 of the recurrence's empty stream, and ``f_poly`` is the recurrence route.
 ``cross_check_prefix(p, n)`` walks the five streams in lockstep and yields
 ``cross_check(p, k)`` for k = 1..n, converting only each cell's own values
-to ``BivarPoly``; the CLI grid runs on it.  The oracles stay
-single-valued.
+to ``BivarPoly``; the CLI grid runs on it.  The oracle routes stay
+single-valued, and hold the order to their oracle's cap before they build
+a matrix.
 
 Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
@@ -55,7 +56,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import islice
 
-from .evaluators import det_oracle, last_poly, leading_minors, per_oracle
+from .evaluators import check_budget, det_oracle, last_poly, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GaussianInt, GradedKernel, check_count
 
@@ -352,14 +353,18 @@ def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:
     return GradedKernel(p + 1), islice(_recurrence(p, n), 1, None)
 
 
-def _on_matrix(evaluate: _Value) -> _Value:
+def _on_matrix(evaluate: _Value, signed: bool) -> _Value:
     """An oracle route to G(p, n) through ``evaluate`` of the order-(n-1)
-    matrices; the empty order-0 matrix has det = per = 1 and needs no
-    matrix object."""
+    matrices, whose order is held to the det (``signed``) or per oracle's
+    default cap before any matrix is built; the empty order-0 matrix has
+    det = per = 1 and needs no matrix object."""
 
     def route(p: int, n: int) -> BivarPoly:
         _check_args(p, n, n_min=1)
-        return ONE if n == 1 else evaluate(p, n - 1)
+        if n == 1:
+            return ONE
+        check_budget(n - 1, signed)
+        return evaluate(p, n - 1)
 
     return route
 
@@ -387,8 +392,8 @@ ROUTES: dict[str, _Value] = {
     "det-m": _matrix_route(lambda p, n: build_m(p, n), signed=True),
     "per-h": _matrix_route(lambda p, n: build_h(p, n), signed=False),
     "per-k": _matrix_route(lambda p, n: build_k(p, n), signed=False),
-    "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order))),
-    "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order))),
+    "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order)), signed=True),
+    "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order)), signed=False),
 }
 _FAST_ROUTES = tuple(name for name, route in ROUTES.items() if isinstance(route, _Route))
 

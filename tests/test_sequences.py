@@ -8,7 +8,7 @@ import pytest
 
 import fibhess.ring as ring
 import fibhess.sequences as sequences
-from fibhess.evaluators import det_hessenberg, per_hessenberg
+from fibhess.evaluators import BudgetExceeded, det_hessenberg, per_hessenberg
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from fibhess.ring import ONE, X, Y, BivarPoly, GaussianInt, GradedKernel, ZERO
 from fibhess.sequences import (
@@ -430,6 +430,26 @@ def test_matrix_route_is_the_evaluator_of_the_order_n_minus_1_matrix(name):
         assert route(p, 1) == ONE
         for n in range(2, 31):
             assert route(p, n) == evaluate(build(p, n - 1)), (p, n)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("oracle-det-w", "order 199999 exceeds det oracle cap 10"),
+        ("oracle-per-h", "order 199999 exceeds permanent oracle cap 8"),
+    ],
+)
+def test_oracle_route_checks_its_cap_before_it_builds(name, message):
+    # building the order-199999 matrix first peaks at about 64 MiB traced
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as caught:
+            sequences.ROUTES[name](1, 200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == message
+    assert peak < 2**20
 
 
 def test_f_poly_is_the_recurrence_route():
