@@ -39,8 +39,10 @@ p + 1, so it is the t^p coefficient of t^(m-1+p) mod
 t^(p+1) - cx*t^p - cy, O(log m) squarings of p + 1 Gaussian ``(re, im)``
 pairs.  One rule, ``_power_wins``, takes that power only where its
 products number at most m, and so never where m <= p + 1; elsewhere the
-closed form serves.  The power and the closed form are the only two ways
-a family or ``fib_p_number`` computes G.
+folded closed form, summed, serves.  ``_at_constants`` is the one place
+that rule is applied: a family with two constants and ``fib_p_number``
+both take G from it, and a family with a variable seed folds the closed
+form.
 
 The recurrence route runs G's recurrence on the ring's graded kernel
 (G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1)
@@ -58,7 +60,7 @@ from itertools import islice
 
 from .evaluators import check_budget, det_oracle, last_poly, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GaussianInt, GradedKernel, check_count
+from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GradedKernel, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -131,6 +133,16 @@ def _power(p: int, m: int, cx, cy) -> tuple[int, int]:
     return residue[p]
 
 
+def _at_constants(p: int, m: int, cx, cy) -> tuple[int, int]:
+    """G(p, m) at x = cx and y = cy, Gaussian ``(re, im)`` pairs, as a pair:
+    ``_power`` where ``_power_wins``, else the sum of the closed form's
+    terms, each scaled by ``_fold``.  The arguments are not checked."""
+    if _power_wins(p, m):
+        return _power(p, m, cx, cy)
+    re, im = _fold(_closed(p, m), m - 1, p + 1, cx, cy)
+    return sum(re), sum(im)
+
+
 def _closed(p: int, n: int):
     """G(p, n)'s raw graded value from its closed form,
     G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints
@@ -164,6 +176,19 @@ def _closed(p: int, n: int):
     return coeffs, []
 
 
+def _gauss_pow(c, k: int) -> tuple[int, int]:
+    """c^k for a Gaussian ``(re, im)`` pair c and k >= 0, by
+    square-and-multiply in plain ints, so 0^0 = 1."""
+    (br, bi), rr, ri = c, 1, 0
+    while k:
+        if k & 1:
+            rr, ri = rr * br - ri * bi, rr * bi + ri * br
+        k >>= 1
+        if k:
+            br, bi = br * br - bi * bi, 2 * br * bi
+    return rr, ri
+
+
 def _fold(g, d: int, w: int, cx, cy):
     """G's graded value ``g`` of degree d, with its coefficient c_j of
     x^(d - w*j)*y^j multiplied by cx^(d - w*j)*cy^j, as a graded value with
@@ -175,11 +200,10 @@ def _fold(g, d: int, w: int, cx, cy):
     coeffs = g[0]
     if not coeffs:
         return g
-    base, last = GaussianInt(*cx), len(coeffs) - 1
+    last = len(coeffs) - 1
     # cx^w is read only past one coefficient, and then w <= d: a p far past
     # d raises cx to no power beyond cx^d
-    low, step = base ** (d - w * last), base ** (w if last else 0)
-    xr, xi, sr, si = low.re, low.im, step.re, step.im
+    (xr, xi), (sr, si) = _gauss_pow(cx, d - w * last), _gauss_pow(cx, w if last else 0)
     x_powers = [(xr, xi)]  # cx^(d - w*j), from the last j down
     for _ in range(last):
         xr, xi = xr * sr - xi * si, xr * si + xi * sr
@@ -210,13 +234,9 @@ def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
 
 def fib_p_number(p: int, n: int) -> int:
     """Integer sequence with p+1 leading ones, a(n) = a(n-1) + a(n-p-1):
-    G(p, n) at x = y = 1, by ``_power`` where ``_power_wins``, else as the
-    sum of G's closed-form coefficients, which x = y = 1 leaves as they
-    are."""
+    G(p, n) at x = y = 1, the real part of ``_at_constants``."""
     _check_args(p, n, n_min=1)
-    if _power_wins(p, n):
-        return _power(p, n, (1, 0), (1, 0))[0]
-    return sum(_closed(p, n)[0])
+    return _at_constants(p, n, (1, 0), (1, 0))[0]
 
 
 class FamilySpec(Frozen):
@@ -293,16 +313,12 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     xe, *cx = GradedKernel.seed(spec.xsub, "x")
     ye, *cy = GradedKernel.seed(spec.ysub, "y")
     ring = GradedKernel(eff_p + 1)
-    if not xe | ye and _power_wins(eff_p, m):
-        # two constants, far enough out: G(p, m) is the power's one coefficient
-        re, im = _power(eff_p, m, cx, cy)
-        return ring.poly(([re], [im]), m - 1, 0, 0)
-    g = _fold(_closed(eff_p, m), m - 1, ring.w, cx, cy)
     if not xe | ye:
-        # two constants put every term of G on the monomial 1: add them up
-        g = [sum(g[0])], [sum(g[1])]
+        # two constants put every term of G on the monomial 1
+        re, im = _at_constants(eff_p, m, cx, cy)
+        return ring.poly(([re], [im]), m - 1, 0, 0)
     # a variable seed keeps each term of G its own monomial
-    return ring.poly(g, m - 1, xe, ye)
+    return ring.poly(_fold(_closed(eff_p, m), m - 1, ring.w, cx, cy), m - 1, xe, ye)
 
 
 def get_family(name: str) -> FamilySpec:

@@ -29,18 +29,8 @@ def P(terms):
 
 
 # --- paper worked examples ------------------------------------------------
-
-
-def test_det_w_4_5():
-    assert det_hessenberg(build_w(4, 5)) == Y + X**5
-
-
-def test_det_m_3_5():
-    assert det_hessenberg(build_m(3, 5)) == P({(1, 1): 2, (5, 0): 1})
-
-
-def test_per_h_3_5():
-    assert per_hessenberg(build_h(3, 5)) == P({(1, 1): 2, (5, 0): 1})
+#
+# det W(4, 5), det M(3, 5) and per H(3, 5) are acceptance criterion 1.
 
 
 def test_per_k_2_4():
@@ -158,7 +148,8 @@ SHAPED = [
 ]
 
 
-@pytest.mark.parametrize("builder", BUILDERS + SHAPED)
+# the four paper builders at the same p and n are acceptance criterion 4
+@pytest.mark.parametrize("builder", SHAPED)
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_oracle_equivalence_grid(builder, p, n):
@@ -228,13 +219,6 @@ def test_triangular_case_is_diagonal_product():
             prod = prod * d
         assert det_hessenberg(a) == prod
         assert per_hessenberg(a) == prod
-
-
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", range(1, 13))
-def test_realness_despite_complex_entries(p, n):
-    assert det_hessenberg(build_w(p, n)).is_real()
-    assert per_hessenberg(build_h(p, n)).is_real()
 
 
 def test_band_fast_path_matches_generic():

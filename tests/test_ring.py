@@ -4,8 +4,6 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fibhess import build_h, build_w, det_hessenberg, f_poly, per_hessenberg, ring
 from fibhess.ring import (
@@ -443,83 +441,105 @@ def test_render_builds_no_gaussian_ints(gaussian_ints_built):
 
 
 # --- ring laws (random) ---------------------------------------------------
-
-coeffs = st.builds(
-    GaussianInt,
-    st.integers(min_value=-10, max_value=10),
-    st.integers(min_value=-10, max_value=10),
-)
-monomials = st.tuples(
-    st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
-)
-polys = st.dictionaries(monomials, coeffs, max_size=5).map(BivarPoly)
-points = st.integers(min_value=-5, max_value=5)
+#
+# Each law runs on 200 draws from its own seeded generator, so every run
+# checks the same cases, and then on ZERO, ONE and a + (-a), the canonical
+# zero a cancellation leaves, in each argument place.
 
 
-@settings(max_examples=200)
-@given(polys, polys)
-def test_law_add_commutative(a, b):
-    assert a + b == b + a
-    assert hash(a + b) == hash(b + a)
+def random_poly(rng):
+    """At most 5 terms x^i*y^j, i and j in 0..3, with Gaussian parts in
+    -10..10 (a zero coefficient drops its term)."""
+    return BivarPoly(
+        {
+            (rng.randint(0, 3), rng.randint(0, 3)): GaussianInt(
+                rng.randint(-10, 10), rng.randint(-10, 10)
+            )
+            for _ in range(rng.randint(0, 5))
+        }
+    )
 
 
-@settings(max_examples=200)
-@given(polys, polys, polys)
-def test_law_add_associative(a, b, c):
-    assert (a + b) + c == a + (b + c)
+def random_point(rng):
+    return rng.randint(-5, 5)
 
 
-@settings(max_examples=200)
-@given(polys, polys)
-def test_law_mul_commutative(a, b):
-    assert a * b == b * a
-    assert hash(a * b) == hash(b * a)
+def law_cases(rng, arity):
+    """200 tuples of ``arity`` random polynomials, then one tuple for each
+    of ZERO, ONE and a + (-a) in each place, random elsewhere."""
+    cases = [tuple(random_poly(rng) for _ in range(arity)) for _ in range(200)]
+    a = random_poly(rng) + X**4  # nonzero: no draw holds x^4
+    for special in (ZERO, ONE, a + (-a)):
+        for place in range(arity):
+            case = [random_poly(rng) for _ in range(arity)]
+            case[place] = special
+            cases.append(tuple(case))
+    return cases
 
 
-@settings(max_examples=200)
-@given(polys, polys, polys)
-def test_law_mul_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
+def test_law_add_commutative():
+    for a, b in law_cases(random.Random(101), 2):
+        assert a + b == b + a, (a, b)
+        assert hash(a + b) == hash(b + a), (a, b)
 
 
-@settings(max_examples=200)
-@given(polys, polys, polys)
-def test_law_distributive(a, b, c):
-    assert a * (b + c) == a * b + a * c
+def test_law_add_associative():
+    for a, b, c in law_cases(random.Random(102), 3):
+        assert (a + b) + c == a + (b + c), (a, b, c)
 
 
-@settings(max_examples=200)
-@given(polys)
-def test_law_identities_and_inverse(a):
-    assert a + ZERO == a
-    assert a * ONE == a
-    assert a + (-a) == ZERO
+def test_law_mul_commutative():
+    for a, b in law_cases(random.Random(103), 2):
+        assert a * b == b * a, (a, b)
+        assert hash(a * b) == hash(b * a), (a, b)
 
 
-@settings(max_examples=200)
-@given(polys, polys, points, points)
-def test_eval_is_ring_homomorphism(a, b, x0, y0):
-    assert (a * b).eval_at(x0, y0) == a.eval_at(x0, y0) * b.eval_at(x0, y0)
-    assert (a + b).eval_at(x0, y0) == a.eval_at(x0, y0) + b.eval_at(x0, y0)
+def test_law_mul_associative():
+    for a, b, c in law_cases(random.Random(104), 3):
+        assert (a * b) * c == a * (b * c), (a, b, c)
 
 
-gaussian_points = st.builds(GaussianInt, points, points)
+def test_law_distributive():
+    for a, b, c in law_cases(random.Random(105), 3):
+        assert a * (b + c) == a * b + a * c, (a, b, c)
 
 
-@settings(max_examples=200)
-@given(st.lists(st.tuples(polys, polys), max_size=4), gaussian_points, gaussian_points)
-def test_sum_of_products_matches_gaussian_evaluation(pairs, x0, y0):
-    # eval_at computes in GaussianInt arithmetic, not through the kernel
-    expected = GI_ZERO
-    for a, b in pairs:
-        expected = expected + a.eval_at(x0, y0) * b.eval_at(x0, y0)
-    assert sum_of_products(pairs).eval_at(x0, y0) == expected
+def test_law_identities_and_inverse():
+    for (a,) in law_cases(random.Random(106), 1):
+        assert a + ZERO == a, a
+        assert a * ONE == a, a
+        assert a + (-a) == ZERO, a
 
 
-@settings(max_examples=200)
-@given(polys)
-def test_substitute_identity_property(a):
-    assert a.substitute(X, Y) == a
+def test_eval_is_ring_homomorphism():
+    rng = random.Random(107)
+    for a, b in law_cases(rng, 2):
+        x0, y0 = random_point(rng), random_point(rng)
+        assert (a * b).eval_at(x0, y0) == a.eval_at(x0, y0) * b.eval_at(x0, y0), (a, b, x0, y0)
+        assert (a + b).eval_at(x0, y0) == a.eval_at(x0, y0) + b.eval_at(x0, y0), (a, b, x0, y0)
+
+
+def test_sum_of_products_matches_gaussian_evaluation():
+    # eval_at computes in GaussianInt arithmetic, not through the kernel.
+    # Each case is 0 to 4 pairs: none, or a law case's pair (which carries
+    # the special values) and up to 3 random pairs.
+    rng = random.Random(108)
+    cases = [[]] + [
+        [(a, b), *((random_poly(rng), random_poly(rng)) for _ in range(rng.randint(0, 3)))]
+        for a, b in law_cases(rng, 2)
+    ]
+    for pairs in cases:
+        x0 = GaussianInt(random_point(rng), random_point(rng))
+        y0 = GaussianInt(random_point(rng), random_point(rng))
+        expected = GI_ZERO
+        for a, b in pairs:
+            expected = expected + a.eval_at(x0, y0) * b.eval_at(x0, y0)
+        assert sum_of_products(pairs).eval_at(x0, y0) == expected, (pairs, x0, y0)
+
+
+def test_substitute_identity_property():
+    for (a,) in law_cases(random.Random(109), 1):
+        assert a.substitute(X, Y) == a, a
 
 
 def test_ring_hot_path_builds_no_gaussian_ints(gaussian_ints_built):

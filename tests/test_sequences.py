@@ -30,33 +30,6 @@ def P(terms):
 # --- the defining recurrence ----------------------------------------------
 
 
-def test_term_list_p3():
-    expected = [
-        ZERO,
-        ONE,
-        X,
-        X**2,
-        X**3,
-        Y + X**4,
-        P({(1, 1): 2, (5, 0): 1}),
-    ]
-    assert f_poly_prefix(3, 6) == expected
-
-
-def test_term_list_p4():
-    expected = [
-        ZERO,
-        ONE,
-        X,
-        X**2,
-        X**3,
-        X**4,
-        Y + X**5,
-        P({(1, 1): 2, (6, 0): 1}),
-    ]
-    assert f_poly_prefix(4, 7) == expected
-
-
 def test_p2_hand_unrolled():
     # F(2,4) = x^3 + y, F(2,5) = x*F(2,4) + y*F(2,2) = x^4 + 2xy
     assert f_poly(2, 4) == X**3 + Y
@@ -105,12 +78,6 @@ def test_fib_p_number_rejects_bad_args():
         fib_p_number(0, 3)
     with pytest.raises(ValueError):
         fib_p_number(2, 0)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_integer_specialization(p):
-    for n in range(1, 21):
-        assert f_poly(p, n).eval_at(1, 1).re == fib_p_number(p, n)
 
 
 # --- specialization families ------------------------------------------------
@@ -306,12 +273,25 @@ def int_sequence(p, n):
     return window[-1] if n else 0
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_fibonacci_p_numbers_family(p):
+SMALL_AND_POWER = [*range(1, 12), 100, 301]
+
+
+@pytest.mark.parametrize(
+    "p, ns",
+    [
+        (1, SMALL_AND_POWER),
+        (2, SMALL_AND_POWER),
+        (3, SMALL_AND_POWER),
+        (40, [3001]),
+        (1000, [30000]),
+    ],
+    ids=["1", "2", "3", "40", "1000"],
+)
+def test_fibonacci_p_numbers_family(p, ns):
     # both read the same path, so each is also held to a plain-int loop;
-    # n = 100 and 301 take the power, n < 12 the closed form
+    # n = 100 and 301 take the power, n < 12 and the large p the closed form
     fam = get_family("fibonacci-p-numbers")
-    for n in [*range(1, 12), 100, 301]:
+    for n in ns:
         expected = int_sequence(p, n)
         assert fib_p_number(p, n) == expected, (p, n)
         assert family_value(fam, n, p=p) == BivarPoly.constant(expected), (p, n)
@@ -375,12 +355,6 @@ def test_cross_check_degenerate_band():
         r = cross_check(p, n)
         assert r.all_equal
         assert set(r.values.values()) == {X**n}
-
-
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-def test_five_way_agreement_grid(p):
-    for n in range(1, 26):
-        assert cross_check(p, n).all_equal
 
 
 FAST_ROUTES = ("recurrence", "det-w", "det-m", "per-h", "per-k")
