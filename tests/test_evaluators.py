@@ -148,8 +148,7 @@ SHAPED = [
 ]
 
 
-# the four paper builders at the same p and n are acceptance criterion 4
-@pytest.mark.parametrize("builder", SHAPED)
+@pytest.mark.parametrize("builder", BUILDERS + SHAPED)
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_oracle_equivalence_grid(builder, p, n):
