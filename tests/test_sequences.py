@@ -82,102 +82,32 @@ def test_fib_p_number_rejects_bad_args():
 
 # --- specialization families ------------------------------------------------
 #
-# Each family is re-derived from its own defining recurrence, independent
-# of the substitution implementation, over the first ten indices.
+# The 15 registry families, written out here and not read from FAMILIES:
+# name -> (seed for x, seed for y, p, index shift), where family(n) is
+# G(p, n + shift) with the seeds put in for x and y.  A p of None is free.
+# Each family, and each user spec of SEEDS, is held to G's recurrence with
+# its seeds put in, independent of the substitution implementation.
+DEFINITIONS = {
+    "fibonacci-bivariate": (X, Y, 1, 0),
+    "fibonacci-p-poly": (X, ONE, None, 0),
+    "fibonacci-poly": (X, ONE, 1, 0),
+    "fibonacci-p-numbers": (ONE, ONE, None, 0),
+    "fibonacci-numbers": (ONE, ONE, 1, 0),
+    "pell-bivariate-p": (X.scale(2), Y, None, 0),
+    "pell-bivariate": (X.scale(2), Y, 1, 0),
+    "pell-p-poly": (X.scale(2), ONE, None, 0),
+    "pell-poly": (X.scale(2), ONE, 1, 0),
+    "pell-numbers": (BivarPoly.constant(2), ONE, 1, 0),
+    "chebyshev-U": (X.scale(2), -ONE, 1, 1),
+    "jacobsthal-bivariate-p": (X, Y.scale(2), None, 0),
+    "jacobsthal-bivariate": (X, Y.scale(2), 1, 0),
+    "jacobsthal-poly": (ONE, Y.scale(2), 1, 0),
+    "jacobsthal-numbers": (ONE, BivarPoly.constant(2), 1, 0),
+}
 
 
-def seq_from_recurrence(initial, step, count):
-    vals = list(initial)
-    while len(vals) < count:
-        vals.append(step(vals))
-    return vals
-
-
-def test_fibonacci_numbers():
-    expected = seq_from_recurrence([ZERO, ONE], lambda v: v[-1] + v[-2], 10)
-    fam = get_family("fibonacci-numbers")
-    assert [family_value(fam, n) for n in range(10)] == expected
-    assert [int(family_value(fam, n).eval_at(0, 0).re) for n in range(8)] == [
-        0, 1, 1, 2, 3, 5, 8, 13,
-    ]
-
-
-def test_pell_numbers():
-    expected = seq_from_recurrence(
-        [ZERO, ONE], lambda v: v[-1].scale(2) + v[-2], 10
-    )
-    fam = get_family("pell-numbers")
-    assert [family_value(fam, n) for n in range(10)] == expected
-    assert family_value(fam, 5) == BivarPoly.constant(29)
-
-
-def test_jacobsthal_numbers():
-    expected = seq_from_recurrence(
-        [ZERO, ONE], lambda v: v[-1] + v[-2].scale(2), 10
-    )
-    fam = get_family("jacobsthal-numbers")
-    assert [family_value(fam, n) for n in range(10)] == expected
-    assert [int(family_value(fam, n).eval_at(0, 0).re) for n in range(6)] == [
-        0, 1, 1, 3, 5, 11,
-    ]
-
-
-def test_chebyshev_second_kind():
-    # U_0 = 1, U_1 = 2x, U_{n+1} = 2x U_n - U_{n-1}
-    two_x = X.scale(2)
-    expected = seq_from_recurrence(
-        [ONE, two_x], lambda v: two_x * v[-1] - v[-2], 10
-    )
-    fam = get_family("chebyshev-U")
-    assert [family_value(fam, n) for n in range(10)] == expected
-    assert family_value(fam, 2) == P({(2, 0): 4, (0, 0): -1})
-
-
-def test_fibonacci_polynomials():
-    # f_0 = 0, f_1 = 1, f_{n+1} = x f_n + f_{n-1}
-    expected = seq_from_recurrence([ZERO, ONE], lambda v: X * v[-1] + v[-2], 10)
-    fam = get_family("fibonacci-poly")
-    assert [family_value(fam, n) for n in range(10)] == expected
-
-
-def test_pell_polynomials():
-    # P_0 = 0, P_1 = 1, P_{n+1} = 2x P_n + P_{n-1}
-    two_x = X.scale(2)
-    expected = seq_from_recurrence(
-        [ZERO, ONE], lambda v: two_x * v[-1] + v[-2], 10
-    )
-    fam = get_family("pell-poly")
-    assert [family_value(fam, n) for n in range(10)] == expected
-
-
-def test_jacobsthal_polynomials():
-    # substitution semantics: a_{n+1} = a_n + 2y a_{n-1}
-    two_y = Y.scale(2)
-    expected = seq_from_recurrence(
-        [ZERO, ONE], lambda v: v[-1] + two_y * v[-2], 10
-    )
-    fam = get_family("jacobsthal-poly")
-    assert [family_value(fam, n) for n in range(10)] == expected
-
-
-def test_bivariate_families():
-    # each p=1 bivariate row satisfies a_{n+1} = xsub*a_n + ysub*a_{n-1}
-    for name in ("fibonacci-bivariate", "pell-bivariate", "jacobsthal-bivariate"):
-        fam = get_family(name)
-        expected = seq_from_recurrence(
-            [ZERO, ONE], lambda v: fam.xsub * v[-1] + fam.ysub * v[-2], 10
-        )
-        assert [family_value(fam, n) for n in range(10)] == expected
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_p_parameterized_families(p):
-    for name in ("fibonacci-p-poly", "pell-bivariate-p", "jacobsthal-bivariate-p"):
-        fam = get_family(name)
-        # p-step recurrence a_n = xsub*a_{n-1} + ysub*a_{n-p-1}
-        vals = [family_value(fam, n, p=p) for n in range(12)]
-        for n in range(p + 2, 12):
-            assert vals[n] == fam.xsub * vals[n - 1] + fam.ysub * vals[n - p - 1]
+def test_definitions_name_the_registry_families():
+    assert sorted(DEFINITIONS) == sorted(FAMILIES)
 
 
 I = BivarPoly.constant(GaussianInt(0, 1))
@@ -196,24 +126,31 @@ SEEDS = {
     "zero x, gaussian c*y": (ZERO, Y.scale(GaussianInt(-3, 1))),
 }
 
+# each user spec at p = 1 and 2, and each family at its own p or at p = 1..3
+SEED_ROWS = [(p, case) for p in (1, 2) for case in SEEDS] + [
+    (q, name) for name, (*_, p, _) in DEFINITIONS.items() for q in ([p] if p else [1, 2, 3])
+]
 
-@pytest.mark.parametrize("case", SEEDS)
-@pytest.mark.parametrize("p", [1, 2])
-def test_spec_seeds_match_their_recurrence(case, p):
+
+@pytest.mark.parametrize("p, case", SEED_ROWS)
+def test_spec_seeds_match_their_recurrence(p, case):
     # n near 300 checks the constants' Gaussian powers, taken once after
     # G's recurrence, against a recurrence that applies them at every step;
     # G(p, 297..301) has each degree mod p + 1, so with a zero x the one
     # surviving term is there at some n and not at others
-    xsub, ysub = SEEDS[case]
-    fam = FamilySpec(case, xsub, ysub, None)
+    if case in DEFINITIONS:
+        xsub, ysub, fixed, shift = DEFINITIONS[case]
+        fam = get_family(case)
+    else:
+        (xsub, ysub), fixed, shift = SEEDS[case], None, 0
+        fam = FamilySpec(case, xsub, ysub, None)
     # G(k) = xsub^(k-1) for 1 <= k <= p + 1, then xsub*G(k-1) + ysub*G(k-p-1)
-    expected = seq_from_recurrence(
-        [ZERO] + [xsub**k for k in range(p + 1)],
-        lambda v: xsub * v[-1] + ysub * v[-p - 1],
-        302,
-    )
+    g = [ZERO] + [xsub**k for k in range(p + 1)]
+    while len(g) < 302 + shift:
+        g.append(xsub * g[-1] + ysub * g[-p - 1])
     ns = [*range(14), *range(297, 302)]
-    assert [family_value(fam, n, p=p) for n in ns] == [expected[n] for n in ns]
+    # a family that fixes its p is not given one
+    assert [family_value(fam, n, p=None if fixed else p) for n in ns] == [g[n + shift] for n in ns]
 
 
 def test_imaginary_y_seed():
@@ -325,10 +262,6 @@ def test_unknown_family():
         get_family("lucas-numbers")
 
 
-def test_registry_covers_remark_rows():
-    assert len(FAMILIES) == 15
-
-
 # --- cross-check --------------------------------------------------------------
 
 
@@ -436,11 +369,20 @@ def test_f_poly_is_the_recurrence_route():
             assert f_poly(p, n) == route(p, n) == terms[n], (p, n)
 
 
-def test_p_far_beyond_n():
+def test_p_far_beyond_n(monkeypatch):
     # for n <= p every G(k-p-1) the recurrence reads is zero, so it holds
     # n + 1 terms, not p + 1: a p past any container's size still works,
     # and G(p, n) = x^(n-1)
     huge = 10**20
+    # a power of p + 1 squares until memory runs out and never returns, so
+    # a tracemalloc peak read after the call cannot catch it: refuse it first
+    gauss_pow = sequences._gauss_pow
+
+    def bounded(c, k):
+        assert k <= 5, f"a constant raised to the power {k}"
+        return gauss_pow(c, k)
+
+    monkeypatch.setattr(sequences, "_gauss_pow", bounded)
     assert f_poly(huge, 3) == X**2
     assert fib_p_number(huge, 5) == 1
     # a power of p + 1 coefficients would not fit: the closed form runs,
