@@ -148,8 +148,9 @@ SHAPED = [
 ]
 
 
-# acceptance criterion 4 runs the four paper builders over the same p and n
-@pytest.mark.parametrize("builder", SHAPED)
+# acceptance criterion 4 runs the four paper builders over the same p and n;
+# build_w's column is the one twin of it left here
+@pytest.mark.parametrize("builder", [build_w] + SHAPED)
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_oracle_equivalence_grid(builder, p, n):
