@@ -535,18 +535,19 @@ def test_f_poly_matches_closed_form(p):
         assert plain_terms(f_poly(p, n)) == closed_form(p, n)
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(DEFINITIONS))
 def test_family_matches_closed_form(name):
     # up to G(p, 3001), the north star's n: a family with a variable seed
     # scales G's closed-form coefficients by its constants' powers once,
     # and they must stay exact thousands of bits long
+    xsub, ysub, fixed, shift = DEFINITIONS[name]
     fam = get_family(name)
-    subs = as_monomial(fam.xsub), as_monomial(fam.ysub)
-    ps = [fam.p] if fam.p is not None else range(1, 6)
-    cases = [(p, n) for p in ps for n in range(60 - fam.index_offset)]
-    for p, n in cases + [(fam.p or 2, 3001 - fam.index_offset)]:
+    subs = as_monomial(xsub), as_monomial(ysub)
+    ps = [fixed] if fixed else range(1, 6)
+    cases = [(p, n) for p in ps for n in range(60 - shift)]
+    for p, n in cases + [(fixed or 2, 3001 - shift)]:
         got = plain_terms(family_value(fam, n, p=p))
-        assert got == closed_form(p, n + fam.index_offset, *subs), (p, n)
+        assert got == closed_form(p, n + shift, *subs), (p, n)
 
 
 def test_variable_seed_family_runs_no_step(monkeypatch):
@@ -595,8 +596,8 @@ def test_closed_matches_math_comb_at_large_p(p, n):
 
 VARIABLE_SEED = sorted(
     name
-    for name, fam in FAMILIES.items()
-    if GradedKernel.seed(fam.xsub, "x")[0] | GradedKernel.seed(fam.ysub, "y")[0]
+    for name, (xsub, ysub, *_) in DEFINITIONS.items()
+    if GradedKernel.seed(xsub, "x")[0] | GradedKernel.seed(ysub, "y")[0]
 )
 
 
@@ -609,11 +610,12 @@ def fold_by_powers(g, d, w, cx, cy):
     return [t.re for t in terms], [t.im for t in terms]
 
 
-# every variable-seed family, and two user specs with Gaussian constants
+# every variable-seed family, and two user specs with Gaussian constants,
+# as DEFINITIONS writes them: (seed for x, seed for y, p, index shift)
 LARGE_N_SPECS = {
-    **{name: get_family(name) for name in VARIABLE_SEED},
+    **{name: DEFINITIONS[name] for name in VARIABLE_SEED},
     **{
-        case: FamilySpec(case, *SEEDS[case], None)
+        case: (*SEEDS[case], None, 0)
         for case in ("two gaussian c*x, c*y", "gaussian c*x, c for y")
     },
 }
@@ -623,15 +625,16 @@ LARGE_N_SPECS = {
 def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
     # the recurrence, scaled by a power of each constant per coefficient, is
     # the family path's independent oracle at G(p, 3001)
-    fam = LARGE_N_SPECS[name]
-    p = fam.p or 2
+    xsub, ysub, fixed, shift = LARGE_N_SPECS[name]
+    fam = get_family(name) if name in DEFINITIONS else FamilySpec(name, xsub, ysub, None)
+    p = fixed or 2
     m = 3001
-    xe, *cx = GradedKernel.seed(fam.xsub, "x")
-    ye, *cy = GradedKernel.seed(fam.ysub, "y")
+    xe, *cx = GradedKernel.seed(xsub, "x")
+    ye, *cy = GradedKernel.seed(ysub, "y")
     kernel = GradedKernel(p + 1)
     folded = fold_by_powers(recurrence_value(p, m), m - 1, p + 1, cx, cy)
     expected = kernel.poly(folded, m - 1, xe, ye)
-    assert family_value(fam, m - fam.index_offset, p=p) == expected
+    assert family_value(fam, m - shift, p=p) == expected
 
 
 def test_constant_family_keeps_one_coefficient_per_term():

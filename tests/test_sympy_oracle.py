@@ -13,9 +13,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
 from fibhess.evaluators import det_hessenberg, det_oracle, per_hessenberg, per_oracle  # noqa: E402
-from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w  # noqa: E402
+from fibhess.matrices import build_h, build_k, build_m, build_w  # noqa: E402
 from fibhess.ring import BivarPoly, GaussianInt  # noqa: E402
+from matrix_shapes import SHAPES  # noqa: E402
 
 x, y = sympy.symbols("x y")
 
@@ -28,6 +31,13 @@ def to_sympy(poly):
 
 def same(poly, expr):
     return sympy.expand(to_sympy(poly) - expr) == 0
+
+
+def sympy_det(entries):
+    """det by sympy's Berkowitz algorithm in Gaussian-integer polynomials:
+    (-1)^n times the constant term of the characteristic polynomial."""
+    m = DomainMatrix.from_Matrix(sympy.Matrix(entries)).convert_to(sympy.ZZ_I[x, y])
+    return m.domain.to_sympy((-1) ** len(entries) * m.charpoly_berk()[-1])
 
 
 def sympy_permanent(entries):
@@ -56,9 +66,7 @@ ORDERS = range(1, 8)
 def test_det_matches_sympy(builder, p):
     for n in ORDERS:
         a = builder(p, n)
-        expected = sympy.Matrix([[to_sympy(e) for e in row] for row in a.rows()]).det(
-            method="berkowitz"
-        )
+        expected = sympy_det([[to_sympy(e) for e in row] for row in a.rows()])
         assert same(det_hessenberg(a), expected), (builder.__name__, p, n)
 
 
@@ -78,44 +86,17 @@ def test_sympy_permanent_agrees_with_sympy_per():
     assert sympy.expand(sympy_permanent(entries) - sympy.Matrix(entries).per()) == 0
 
 
-def random_hessenberg(rng, n, graded):
-    """A lower-Hessenberg matrix of order n with random Gaussian-integer
-    coefficients, about a quarter of its entries zero.  In a graded one,
-    entry (i, j) is weighted-homogeneous of degree i - j + 1 with y of
-    weight 2, as in the builders' matrices; an ungraded one has terms
-    x^a y^b with a, b <= 1 anywhere."""
-
-    def entry(d):
-        if rng.random() < 0.25:
-            return BivarPoly()
-        if graded:
-            monos = [(d - 2 * b, b) for b in range(d // 2 + 1)]
-        else:
-            monos = [(a, b) for a in range(2) for b in range(2)]
-        return BivarPoly(
-            {
-                mono: GaussianInt(rng.randint(-3, 3), rng.randint(-3, 3))
-                for mono in rng.sample(monos, rng.randint(1, min(3, len(monos))))
-            }
-        )
-
-    return HessenbergMatrix(
-        [[entry(i - j + 1) if j <= i + 1 else BivarPoly() for j in range(n)] for i in range(n)]
-    )
-
-
-@pytest.mark.parametrize("graded", [True, False], ids=["graded", "ungraded"])
-def test_oracles_match_sympy_on_general_matrices(graded):
-    # elsewhere general matrices hold the oracles only to the recursion,
-    # which is fibhess code too
-    rng = random.Random(41 + graded)
-    for n in range(1, 7):
-        for _ in range(2):
-            a = random_hessenberg(rng, n, graded)
+@pytest.mark.parametrize("name", SHAPES)
+def test_oracles_match_sympy_on_every_shape(name):
+    # test_evaluators' oracle grid holds the recursion to the oracles on
+    # every shape; this holds the oracles, fibhess code too, to sympy
+    shape = SHAPES[name]
+    for p in (1, 2):
+        for n in range(shape.n_min, 7):
+            a = shape.make(p, n)
             entries = [[to_sympy(e) for e in row] for row in a.rows()]
-            det = sympy.Matrix(entries).det(method="berkowitz")
-            assert same(det_oracle(a), det), (n, graded)
-            assert same(per_oracle(a), sympy_permanent(entries)), (n, graded)
+            assert same(det_oracle(a), sympy_det(entries)), (p, n)
+            assert same(per_oracle(a), sympy_permanent(entries)), (p, n)
 
 
 def random_poly(rng):
