@@ -177,6 +177,7 @@ SHAPES = {
         )
         for build in (build_w, build_m, build_h, build_k)
     },
+    "build_w": Shape(build_w, band),  # acceptance criterion 4 runs all four builders
     "far_entry": Shape(far_entry, poly),
     **{f"random_graded_w{w}": random_graded(w) for w in (1, 2, 3)},
     "graded_without_y": random_graded(8),  # 8 is past every order made here
