@@ -17,17 +17,32 @@ row builds one new value.
 
 The loop is written once over the ring's kernel interface.  The kernel is
 picked before the loop starts: ``leading_minors`` passes
-``ring.kernel_for`` each nonzero entry (i, j) with its degree i - j + 1.
-``_recursion`` then makes one set-up pass over the rows for the
-superdiagonal scalars and each minor's last reader.  The loop reads each
-row's entries as stored, with no sort: a matrix stores each row in
-reading order, its superdiagonal entry first and then the diagonal and
-the entries to its left, nearest first.  A graded matrix (every entry
+``ring.kernel_for`` the entries of each distinct row map once, each entry
+at offset d (column minus row) with its degree 1 - d.  A matrix keys each
+row's entries by that offset, so equal rows can be one map: a builder's
+matrix lists at most three maps, whatever n is, and the maps are found
+by ``id``, one lookup a row.  ``_recursion`` then makes one set-up pass
+over the rows for the superdiagonal scalars, converted once per distinct
+map, and each minor's last reader.  The loop reads each row's entries as
+stored, with no sort: a matrix stores each row in reading order, its
+superdiagonal entry first and then the diagonal and the entries to its
+left, nearest first.  A graded matrix (every entry
 weighted-homogeneous of that degree, with y of weight w; all four
 families are, with w = p + 1) runs on ``GradedKernel``: its
 superdiagonal entries are then Gaussian scalars, so the carried product
 is a pair of ints, and its minors are dense coefficient lists.  Any
 other matrix runs on ``PolyKernel``, on ``BivarPoly`` itself.
+
+The superdiagonal product of row i's entry at offset d, from column
+c = i + d, is P(c, i) = a_{c,c+1} ... a_{i-1,i}, and the row above's
+entry at the same offset has P(c-1, i-1) = a_{c-1,c} ... a_{i-2,i-1}.
+The two share every factor but one at each end, so they are equal when
+the factor leaving, a_{c-1,c}, equals the factor entering, a_{i-1,i}.
+Row i then takes the row above's product at that offset, and otherwise
+walks it out from the nearer entry, one factor at a time.  This is exact in
+a commutative ring, needs no division and no rule for a zero factor, and
+costs each row of a paper matrix no scalar product once its band has a
+row above it: the band's walk of p factors runs once, not n - p times.
 
 The recursion computes every leading minor on its way to order n, so it
 is a generator: ``leading_minors`` returns the kernel it runs on and an
@@ -92,39 +107,53 @@ def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[object, Iterator]
     is block k's ``BivarPoly``.  The kernel is picked from the nonzeros
     when this is called; the set-up pass over the rows runs at the
     iterator's first ``next()``, and the recursion as it is consumed."""
-    ring = kernel_for((i - j + 1, e) for i, row in enumerate(a._rows) for j, e in row.items())
-    return ring, _recursion(a, ring, signed)
-
-
-def _recursion(a: HessenbergMatrix, ring, signed: bool) -> Iterator:
     rows = a._rows
-    # one pass over the rows: superdiag[k] = a[k, k+1], negated for det, so
-    # that a product of i - c of them carries the sign (-1)^(i-c);
-    # last_read[c] is the last row with a nonzero in column c on or below
-    # the diagonal, the last to read minor c, and a minor no row reads has
-    # no key
+    # each distinct row map once, found by id: rows may share a map
+    distinct = {id(row): row for row in rows}
+    ring = kernel_for((1 - d, e) for row in distinct.values() for d, e in row.items())
+    return ring, _recursion(rows, distinct, ring, signed)
+
+
+def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
+    # one pass over the rows: superdiag[k] = a[k, k+1], converted once per
+    # distinct map and negated for det, so that a product of i - c of them
+    # carries the sign (-1)^(i-c); last_read[c] is the last row with a
+    # nonzero in column c on or below the diagonal, the last to read minor
+    # c, and a minor no row reads has no key
+    scalars = {key: ring.scalar(row.get(1, ZERO), signed) for key, row in distinct.items()}
     superdiag, last_read = [], {}
     for i, row in enumerate(rows):
-        superdiag.append(ring.scalar(row.get(i + 1, ZERO), signed))
-        for c in row:
-            if c <= i:
-                last_read[c] = i
+        superdiag.append(scalars[id(row)])
+        for d in row:
+            if d <= 0:
+                last_read[i + d] = i
     # minors[k] = det/per of the leading k x k block, kept until its last read
     minors = {0: ring.one}
     yield ring.one
+    above = {}  # offset -> the superdiagonal product of the row above's entry there
     for i, row in enumerate(rows):
-        triples = []
+        triples, prods = [], {}
         prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
+        entering = superdiag[i - 1]  # read only once ``above`` has a key
         # row i as stored: its superdiagonal entry first, which the rows
         # below read through superdiag, then the diagonal and leftwards,
         # nearest first, so the product grows one factor at a time
-        for c, entry in row.items():
-            if c > i:
+        for d, entry in row.items():
+            if d > 0:
                 continue
-            while k > c:
-                k -= 1
-                prod = ring.times(prod, superdiag[k])
+            c = i + d
+            # the row above's product at offset d runs from column c - 1:
+            # it lacks superdiag[i-1] and has superdiag[c-1] in its place,
+            # so it is this one when those two factors are equal
+            if d in above and superdiag[c - 1] == entering:
+                prod, k = above[d], c
+            else:
+                while k > c:
+                    k -= 1
+                    prod = ring.times(prod, superdiag[k])
+            prods[d] = prod
             triples.append((entry, prod, minors.pop(c) if last_read[c] == i else minors[c]))
+        above = prods
         minor = ring.sum_of_products(triples)
         if i + 1 in last_read:
             minors[i + 1] = minor

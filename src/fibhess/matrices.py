@@ -16,11 +16,17 @@ of them here), so building and storing one costs O(n), not O(n^2).
 Whether a matrix is graded, and so runs on the ring's graded kernel, is
 found by the evaluators from the entries they read, not stored here.
 
-Each row's ``{col: entry}`` map holds its entries in the order the
-evaluators' recursion reads them: the superdiagonal entry first, then the
-diagonal, then the entries to its left, nearest the diagonal first.  The
-dense constructor, the builders and ``scale_row`` all store that order,
-so the recursion reads a row's entries as stored, with no sort.
+Each row's ``{offset: entry}`` map keys an entry by its offset from the
+diagonal, column minus row, and holds its entries in the order the
+evaluators' recursion reads them: the superdiagonal entry (+1) first,
+then the diagonal (0), then the entries to its left (-1, -2, ...),
+nearest the diagonal first.  The dense constructor, the builders and
+``scale_row`` all store that order, so the recursion reads a row's
+entries as stored, with no sort.  Keyed by offset, equal rows are equal
+maps, so the builders list one map for every row of a kind: at most
+three maps (the rows before the band, the rows with it, the last row)
+for any n.  Nothing changes a stored map, so a map may be shared by
+several rows and by several matrices.
 
 A matrix is checked once, where it comes in from outside: the dense
 constructor ``HessenbergMatrix(entries)`` checks its shape and its entry
@@ -40,9 +46,10 @@ class ShapeError(ValueError):
 class HessenbergMatrix:
     """Immutable square lower-Hessenberg matrix over BivarPoly.
 
-    Stored by its nonzeros, one ``{col: entry}`` map per row, in reading
-    order: superdiagonal, diagonal, then leftwards.  ``rows()`` and
-    ``str()`` build the dense view, column by column, on demand.
+    Stored by its nonzeros, one ``{offset: entry}`` map per row, keyed by
+    column minus row, in reading order: superdiagonal, diagonal, then
+    leftwards.  Rows may share a map.  ``rows()`` and ``str()`` build the
+    dense view, column by column, on demand.
     """
 
     __slots__ = ("_rows",)
@@ -62,21 +69,23 @@ class HessenbergMatrix:
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
-        # row i's columns in reading order: i + 1 (if inside), i, ..., 0
+        # row i's offsets in reading order: +1 (if inside), 0, -1, ..., -i
         self._rows = tuple(
-            {j: row[j] for j in range(min(i + 1, n - 1), -1, -1) if not row[j].is_zero()}
+            {j - i: row[j] for j in range(min(i + 1, n - 1), -1, -1) if not row[j].is_zero()}
             for i, row in enumerate(rows)
         )
 
     @classmethod
     def _from_nonzeros(cls, rows) -> "HessenbergMatrix":
         """Matrix stored as ``rows`` are given, with no check: one
-        ``{col: entry}`` map per row, at least one row, each entry a
-        nonzero BivarPoly in the lower-Hessenberg shape, and each map in
-        reading order: row i's entry at column i + 1 first, then column i,
-        then columns i - 1, i - 2, ... with gaps where an entry is zero.
-        The recursion reads the maps in that order.  Only the library's
-        own rows (the builders', ``scale_row``'s) come here."""
+        ``{offset: entry}`` map per row, at least one row, each entry a
+        nonzero BivarPoly in the lower-Hessenberg shape (row i's offsets
+        between -i and +1, and +1 only above the last row), and each map
+        in reading order: offset +1 first, then 0, then -1, -2, ... with
+        gaps where an entry is zero.  The recursion reads the maps in that
+        order.  The same map may stand for several rows; nothing changes
+        it.  Only the library's own rows (the builders', ``scale_row``'s)
+        come here."""
         a = cls.__new__(cls)
         a._rows = tuple(rows)
         return a
@@ -93,23 +102,27 @@ class HessenbergMatrix:
         n = len(self._rows)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"entry ({i}, {j}) outside a matrix of order {n}")
-        return self._rows[i].get(j, ZERO)
+        return self._rows[i].get(j - i, ZERO)
 
     def rows(self) -> tuple[tuple[BivarPoly, ...], ...]:
-        return tuple(tuple(r.get(j, ZERO) for j in range(self.n)) for r in self._rows)
+        n = self.n
+        return tuple(
+            tuple(r.get(j - i, ZERO) for j in range(n)) for i, r in enumerate(self._rows)
+        )
 
     def scale_row(self, i: int, c) -> "HessenbergMatrix":
         """Copy with every entry of 0-based row i multiplied by the scalar
         c, an int or a ``GaussianInt``.  The other rows are shared with
-        this matrix, row i keeps its reading order, and a zero c leaves it
-        with no entries."""
+        this matrix; row i gets a new map, so a map row i shared with other
+        rows is left as it was.  Row i keeps its reading order, and a zero
+        c leaves it with no entries."""
         if not isinstance(i, int):
             raise TypeError(f"row index must be an int, got {i!r}")
         if not 0 <= i < self.n:
             raise IndexError(f"row {i} outside a matrix of order {self.n}")
         rows = list(self._rows)
-        scaled = {j: e.scale(c) for j, e in rows[i].items()}
-        rows[i] = {j: e for j, e in scaled.items() if not e.is_zero()}
+        scaled = {d: e.scale(c) for d, e in rows[i].items()}
+        rows[i] = {d: e for d, e in scaled.items() if not e.is_zero()}
         return HessenbergMatrix._from_nonzeros(rows)
 
     def __str__(self) -> str:
@@ -122,14 +135,15 @@ def _build_banded(p: int, n: int, superdiag, band) -> HessenbergMatrix:
     check_count("p", p, 1)
     check_count("n", n, 1)
     superdiag, band_entry = BivarPoly.constant(superdiag), Y.scale(band**p)
-    rows = []
-    for i in range(n):
-        row = {i + 1: superdiag} if i + 1 < n else {}
-        row[i] = X
-        if i - p >= 0:
-            row[i - p] = band_entry
-        rows.append(row)
-    return HessenbergMatrix._from_nonzeros(rows)
+    # one map per kind of row, listed for every row of that kind: the rows
+    # before the band (i < p), the rows with it, and the last row, which
+    # has no superdiagonal entry
+    head = {1: superdiag, 0: X}
+    body = {1: superdiag, 0: X, -p: band_entry}
+    last = {0: X, -p: band_entry} if n > p else {0: X}
+    return HessenbergMatrix._from_nonzeros(
+        [head] * min(p, n - 1) + [body] * max(n - 1 - p, 0) + [last]
+    )
 
 
 def build_w(p: int, n: int) -> HessenbergMatrix:

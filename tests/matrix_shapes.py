@@ -116,6 +116,29 @@ def far_entry(p, n):
     return HessenbergMatrix(rows)
 
 
+def two_constant_superdiagonal(p, n):
+    """Graded with y of weight p + 1: x on the diagonal, two Gaussian
+    constants a and b on the superdiagonal in the order a, a, b, a, b, b, a,
+    and entries c*y at offset p and c*x*y at offset p + 1, c varying by row.
+    The recursion takes a row's product at an offset from the row above
+    when the factor leaving its window equals the one entering, and walks
+    it otherwise; in this order that happens at some rows and not at
+    others, at both offsets, where a periodic order could let a wrong
+    carry give the right value."""
+    a, b = BivarPoly.constant(GaussianInt(1, 1)), BivarPoly.constant(GaussianInt(2, -1))
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = X
+        if i + 1 < n:
+            rows[i][i + 1] = (a, a, b, a, b, b, a)[i % 7]
+        c = GaussianInt(1 + i % 3, i % 2 - 1)
+        if i >= p:
+            rows[i][i - p] = Y.scale(c)
+        if i >= p + 1:
+            rows[i][i - p - 1] = (X * Y).scale(c)
+    return HessenbergMatrix(rows)
+
+
 def random_graded(w):
     """Entries of weight i - j + 1 with y of weight w and nonzero Gaussian
     coefficients: scalars on the superdiagonal, and every x^(d - w*b) y^b of
@@ -179,6 +202,11 @@ SHAPES = {
     },
     "build_w": Shape(build_w, band),  # acceptance criterion 4 runs all four builders
     "far_entry": Shape(far_entry, poly),
+    "two_constant_superdiagonal": Shape(two_constant_superdiagonal, band),
+    # a zero superdiagonal entry, a[1, 2], inside the band's windows
+    "zero_superdiagonal_in_band": edited(
+        build_w, lambda p, n, i, j, e: ZERO if (i, j) == (1, 2) else e, band, n_min=3
+    ),
     **{f"random_graded_w{w}": random_graded(w) for w in (1, 2, 3)},
     "graded_without_y": random_graded(8),  # 8 is past every order made here
     "random_general": Shape(random_general, poly, n_min=3),

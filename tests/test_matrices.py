@@ -228,16 +228,16 @@ def test_banded_storage_is_linear_in_order():
 # --- storage order ---------------------------------------------------------
 #
 # The recursion reads each row's map as stored, so every way of making a
-# matrix must store row i's columns in reading order: i + 1 first, then i,
-# then i - 1, i - 2, ..., with the zeros left out.
+# matrix must store row i's entries by offset (column minus row) in reading
+# order: +1 first, then 0, then -1, -2, ..., with the zeros left out.
 
 
 def assert_reading_order(a):
     dense = a.rows()
     for i, row in enumerate(a._rows):
-        expected = [j for j in range(min(i + 1, a.n - 1), -1, -1) if not dense[i][j].is_zero()]
+        expected = [j - i for j in range(min(i + 1, a.n - 1), -1, -1) if not dense[i][j].is_zero()]
         assert list(row) == expected, (i, list(row))
-        assert all(not e.is_zero() and e == dense[i][j] for j, e in row.items())
+        assert all(not e.is_zero() and e == dense[i][i + d] for d, e in row.items())
 
 
 def assert_matches_oracles(a):
@@ -264,7 +264,7 @@ def test_dense_constructor_stores_rows_in_reading_order():
         assert_reading_order(a)
         assert a.rows() == tuple(map(tuple, rows))
         assert_matches_oracles(a)
-    assert list(HessenbergMatrix(dense_with_zeros())._rows[2]) == [3, 2, 0]
+    assert list(HessenbergMatrix(dense_with_zeros())._rows[2]) == [1, 0, -2]
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -274,7 +274,28 @@ def test_builders_store_rows_in_reading_order(builder, p):
         a = builder(p, n)
         assert_reading_order(a)
         assert_matches_oracles(a)
-    assert list(builder(p, 8)._rows[p + 1]) == [p + 2, p + 1, 1]
+    assert list(builder(p, 8)._rows[p + 1]) == [1, 0, -p]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_builders_share_equal_rows(builder, p):
+    # keyed by offset, a builder's rows are three maps at most, whatever n
+    # is: the rows before the band, the rows with it and the last row
+    for n in (1, 2, p + 1, p + 2, 3000):
+        a = builder(p, n)
+        assert len({id(row) for row in a._rows}) <= 3, n
+
+
+def test_scale_row_leaves_a_shared_map_alone():
+    a = build_w(2, 8)
+    before = a.rows()
+    assert a._rows[4] is a._rows[5]  # rows 2..6 share one map
+    scaled = a.scale_row(4, GaussianInt(2, 1))
+    assert a.rows() == before
+    assert scaled._rows[4] is not a._rows[4]
+    assert scaled.rows()[4] == tuple(e.scale(GaussianInt(2, 1)) for e in before[4])
+    assert scaled.rows()[:4] + scaled.rows()[5:] == before[:4] + before[5:]
 
 
 @pytest.mark.parametrize("c", [2, GaussianInt(1, -1), 0, GaussianInt(0, 0)])

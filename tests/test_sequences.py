@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+import fibhess.evaluators as evaluators
 import fibhess.ring as ring
 import fibhess.sequences as sequences
 from fibhess.evaluators import BudgetExceeded, det_hessenberg, per_hessenberg
@@ -728,9 +729,49 @@ def test_fib_p_number_matches_closed_form(p):
         assert {(0, 0): fib_p_number(p, n)} == closed_form(p, n, (1, 0, 0), (1, 0, 0))
 
 
-@pytest.mark.parametrize("p", [1, 3])
+# p -> n: small p, and a band far from the diagonal
+LARGE_N = {1: 2001, 3: 2001, 300: 3001}
+
+
+@pytest.mark.parametrize("p", LARGE_N)
 def test_every_route_matches_closed_form_at_large_n(p):
-    n = 2001
+    n = LARGE_N[p]
     expected = closed_form(p, n)
     for name in ("recurrence", "det-w", "det-m", "per-h", "per-k"):
         assert plain_terms(sequences.ROUTES[name](p, n)) == expected, name
+
+
+def test_band_walks_its_superdiagonal_product_once(monkeypatch):
+    # the first row with the band walks its p superdiagonal factors, and
+    # each row below takes its product from the row above: about n*p scalar
+    # products would be 810,000 here
+    calls = []
+    times = GradedKernel.times
+
+    def counted(s, t):
+        calls.append(1)
+        return times(s, t)
+
+    monkeypatch.setattr(GradedKernel, "times", staticmethod(counted))
+    assert sequences.ROUTES["det-w"](300, 3001) == f_poly(300, 3001)
+    assert 0 < len(calls) <= 300
+
+
+@pytest.mark.parametrize("build", [build_w, build_m, build_h, build_k])
+def test_kernel_choice_reads_each_distinct_row_once(monkeypatch, build):
+    # a builder's matrix lists at most three row maps, of 2, 3 and 2
+    # entries, and kernel_for reads each once: not 3n - 1 entries
+    seen = []
+
+    def counted(pairs):
+        pairs = list(pairs)
+        seen.append(len(pairs))
+        return ring.kernel_for(pairs)
+
+    monkeypatch.setattr(evaluators, "kernel_for", counted)
+    for p in (1, 2, 5, 300):
+        for n in (1, 2, p + 1, p + 2, 3001):
+            seen.clear()
+            evaluators.leading_minors(build(p, n), signed=True)  # picks the kernel now
+            (pairs,) = seen
+            assert pairs <= 7, (p, n, pairs)
