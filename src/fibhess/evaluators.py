@@ -11,11 +11,13 @@ m only, the diagonal among them, nearest the diagonal first, carrying the
 superdiagonal product along: a banded matrix costs O(n) large
 multiplications, a dense one O(n^2).  For det each superdiagonal entry is
 negated once up front, so the product of the i - r entries from column r
-carries the sign (-1)^(i-r).  Each row's (entry, superdiagonal product,
-minor) triples go to the kernel's ``sum_of_products`` in one call, so a
-row builds one new value.
+carries the sign (-1)^(i-r).  Each entry times its superdiagonal product
+is the entry's coefficient, made by the kernel's ``coefficient``, and a
+row's (coefficient, minor) pairs go to the kernel's ``sum_of_products``
+in one call, so a row builds one new value.
 
-The loop is written once over the ring's kernel interface.  The kernel is
+The loop is written once over the ring's kernel interface: one, unit,
+scalar, times, coefficient, sum_of_products and poly.  The kernel is
 picked before the loop starts: ``leading_minors`` passes
 ``ring.kernel_for`` the entries of each distinct row map once, each entry
 at offset d (column minus row) with its degree 1 - d.  A matrix keys each
@@ -23,7 +25,8 @@ row's entries by that offset, so equal rows can be one map: a builder's
 matrix lists at most three maps, whatever n is, and the maps are found
 by ``id``, one lookup a row.  ``_recursion`` then makes one set-up pass
 over the rows for the superdiagonal scalars, converted once per distinct
-map, and each minor's last reader.  The loop reads each row's entries as
+map, each minor's last reader and the rows that repeat the row above.
+The loop reads each row's entries as
 stored, with no sort: a matrix stores each row in reading order, its
 superdiagonal entry first and then the diagonal and the entries to its
 left, nearest first.  A graded matrix (every entry
@@ -43,6 +46,16 @@ walks it out from the nearer entry, one factor at a time.  This is exact in
 a commutative ring, needs no division and no rule for a zero factor, and
 costs each row of a paper matrix no scalar product once its band has a
 row above it: the band's walk of p factors runs once, not n - p times.
+
+A row whose entries and products are all the row above's has the row
+above's coefficients too, and reuses them.  The set-up pass decides this
+at O(1) a row: row i repeats row i - 1 when it is the same map (so it
+has the same entries at the same offsets, and the same superdiagonal
+scalar), and every factor its windows would swap, from a_{i-1+d,i+d} for
+its deepest offset d to a_{i-1,i}, lies in one run of equal scalars.
+Any other row makes its coefficients as above.  So a paper matrix makes
+its coefficients once for each kind of row, three times at any n, not
+once a row.
 
 The recursion computes every leading minor on its way to order n, so it
 is a generator: ``leading_minors`` returns the kernel it runs on and an
@@ -119,11 +132,26 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
     # distinct map and negated for det, so that a product of i - c of them
     # carries the sign (-1)^(i-c); last_read[c] is the last row with a
     # nonzero in column c on or below the diagonal, the last to read minor
-    # c, and a minor no row reads has no key
-    scalars = {key: ring.scalar(row.get(1, ZERO), signed) for key, row in distinct.items()}
-    superdiag, last_read = [], {}
+    # c, and a minor no row reads has no key; repeats[i] is whether row i
+    # has row i - 1's coefficients (the module docstring's rule): it is the
+    # same map, and superdiag[i - 1 + deepest] .. superdiag[i - 1], every
+    # factor its windows swap, lie in one run of equal scalars.  maps holds
+    # each distinct map's scalar and its deepest offset, its last key, as a
+    # map is stored in reading order
+    maps = {
+        key: (ring.scalar(row.get(1, ZERO), signed), next(reversed(row), 0))
+        for key, row in distinct.items()
+    }
+    superdiag, last_read, repeats = [], {}, []
+    start, prev = 0, None  # the run superdiag[i - 1] is in starts at superdiag[start]
     for i, row in enumerate(rows):
-        superdiag.append(scalars[id(row)])
+        scalar, deepest = maps[id(row)]
+        same = row is prev  # the map above has this scalar, so only a new map ends a run
+        if not same and i and scalar != superdiag[-1]:
+            start = i
+        repeats.append(same and start <= i - 1 + deepest)
+        superdiag.append(scalar)
+        prev = row
         for d in row:
             if d <= 0:
                 last_read[i + d] = i
@@ -131,30 +159,38 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
     minors = {0: ring.one}
     yield ring.one
     above = {}  # offset -> the superdiagonal product of the row above's entry there
+    coefficient, times, step = ring.coefficient, ring.times, ring.sum_of_products
     for i, row in enumerate(rows):
-        triples, prods = [], {}
-        prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
-        entering = superdiag[i - 1]  # read only once ``above`` has a key
-        # row i as stored: its superdiagonal entry first, which the rows
-        # below read through superdiag, then the diagonal and leftwards,
-        # nearest first, so the product grows one factor at a time
-        for d, entry in row.items():
-            if d > 0:
-                continue
+        if not repeats[i]:
+            # (offset, the entry times its product) for each entry on or
+            # below the diagonal, kept for the rows below that repeat this one
+            coefficients, prods = [], {}
+            prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
+            entering = superdiag[i - 1]  # read only once ``above`` has a key
+            # row i as stored: its superdiagonal entry first, which the rows
+            # below read through superdiag, then the diagonal and leftwards,
+            # nearest first, so the product grows one factor at a time
+            for d, entry in row.items():
+                if d > 0:
+                    continue
+                c = i + d
+                # the row above's product at offset d runs from column c - 1:
+                # it lacks superdiag[i-1] and has superdiag[c-1] in its place,
+                # so it is this one when those two factors are equal
+                if d in above and superdiag[c - 1] == entering:
+                    prod, k = above[d], c
+                else:
+                    while k > c:
+                        k -= 1
+                        prod = times(prod, superdiag[k])
+                prods[d] = prod
+                coefficients.append((d, coefficient(entry, prod)))
+            above = prods
+        pairs = []  # a loop: a comprehension costs a frame more on Python 3.11
+        for d, coeff in coefficients:
             c = i + d
-            # the row above's product at offset d runs from column c - 1:
-            # it lacks superdiag[i-1] and has superdiag[c-1] in its place,
-            # so it is this one when those two factors are equal
-            if d in above and superdiag[c - 1] == entering:
-                prod, k = above[d], c
-            else:
-                while k > c:
-                    k -= 1
-                    prod = ring.times(prod, superdiag[k])
-            prods[d] = prod
-            triples.append((entry, prod, minors.pop(c) if last_read[c] == i else minors[c]))
-        above = prods
-        minor = ring.sum_of_products(triples)
+            pairs.append((coeff, minors.pop(c) if last_read[c] == i else minors[c]))
+        minor = step(pairs)
         if i + 1 in last_read:
             minors[i + 1] = minor
         yield minor

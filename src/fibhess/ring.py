@@ -23,12 +23,18 @@ one-pair case, and a recursion step such as x*G(n-1) + y*G(n-p-1) is one
 call, so the step builds no intermediate product polynomials.
 
 The Hessenberg recursion of ``evaluators`` is written once over a small
-ring interface (one, unit, scalar, times, sum_of_products, poly)
-with two implementations: ``PolyKernel`` on ``BivarPoly`` itself, and
-``GradedKernel`` on weighted-homogeneous values, where x has weight 1 and
-y weight w.  G(p, n), with a family's constants folded into its
-coefficients, and every leading minor of the W/M/H/K matrices are such
-values for w = p + 1.  A graded value of degree d is fixed by its
+ring interface (one, unit, scalar, times, coefficient, sum_of_products,
+poly) with two implementations: ``PolyKernel`` on ``BivarPoly`` itself,
+and ``GradedKernel`` on weighted-homogeneous values, where x has weight 1
+and y weight w.  ``coefficient(entry, scalar)`` is a factor times a
+scalar in the kernel's own form, made once and read by any number of
+``sum_of_products`` calls over ``(coefficient, value)`` pairs: a matrix
+row that repeats the row above reuses its coefficients, and the
+recurrence makes x's and y's once.  On ``PolyKernel`` a coefficient is
+the product ``entry * scalar`` and ``sum_of_products`` is the ring's own.
+G(p, n), with a family's constants folded into its coefficients, and
+every leading minor of the W/M/H/K matrices are such values for
+w = p + 1.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
 of plain ints indexed by j, and a second list for the imaginary parts,
 empty until a step makes one: no exponent is stored or hashed,
@@ -398,12 +404,8 @@ class PolyKernel:
     def scalar(e: BivarPoly, negate: bool) -> BivarPoly:
         return -e if negate else e
 
-    times = staticmethod(mul)
-
-    @staticmethod
-    def sum_of_products(triples) -> BivarPoly:
-        """f1*s1*v1 + f2*s2*v2 + ... over (factor, scalar, value) triples."""
-        return sum_of_products((f * s, v) for f, s, v in triples)
+    times = coefficient = staticmethod(mul)
+    sum_of_products = staticmethod(sum_of_products)
 
     @staticmethod
     def poly(value: BivarPoly, degree: int) -> BivarPoly:
@@ -419,9 +421,10 @@ class GradedKernel:
     and imaginary parts of those coefficients, ``im`` empty until a step
     makes an imaginary part.  No x-exponent is stored; the caller knows each
     value's degree.  A scalar (weight 0) is a pair ``(re, im)`` of ints.  A
-    factor, such as a matrix entry, stays a graded ``BivarPoly``: its term
-    c*x^a*y^j multiplies a value by c and shifts its lists by j, so a sum of
-    products is a few list adds.
+    factor, such as a matrix entry, stays a graded ``BivarPoly``, and the
+    factor times a scalar is its coefficient: one ``(j, re, im)`` for each
+    term c*x^a*y^j, which multiplies a value by re + im*i and shifts its
+    lists by j, so a sum of products is a few list adds.
     """
 
     zero = ([], [])
@@ -443,14 +446,22 @@ class GradedKernel:
         return s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0]
 
     @staticmethod
-    def sum_of_products(triples):
-        """f1*s1*v1 + f2*s2*v2 + ... over (factor, scalar, value) triples,
-        as one value."""
+    def coefficient(f: BivarPoly, s: tuple[int, int]) -> list[tuple[int, int, int]]:
+        """A graded factor f times a scalar s, as one ``(j, re, im)`` for each
+        term of f: its y-degree j and the parts of its coefficient times s."""
+        sr, si = s
+        coefficient = []  # a loop: a comprehension costs a frame more on Python 3.11
+        for (_, j, ie), c in f._terms.items():
+            # c*s for a real term c*y^j, c*i*s for an i-term
+            coefficient.append((j, -c * si, c * sr) if ie else (j, c * sr, c * si))
+        return coefficient
+
+    @staticmethod
+    def sum_of_products(pairs):
+        """c1*v1 + c2*v2 + ... over (coefficient, value) pairs, as one value."""
         re, im = [], []
-        for f, (sr, si), (vr, vi) in triples:
-            for (_, j, ie), c in f._terms.items():
-                # cr + ci*i = c*s, or c*i*s for an i-term
-                cr, ci = (-c * si, c * sr) if ie else (c * sr, c * si)
+        for coeff, (vr, vi) in pairs:
+            for j, cr, ci in coeff:
                 # (cr + ci*i)(vr + vi*i) = cr*vr - ci*vi + (cr*vi + ci*vr)*i
                 if cr:
                     _add_scaled(re, j, cr, vr)

@@ -71,20 +71,21 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
 def _recurrence(p: int, n: int) -> Iterator:
     """Yield terms 0..n of G on the graded kernel, where y has weight
     p + 1 and G(k) has degree k - 1: G(1) = 1, G(k) = 0 for k <= 0, and
-    each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate.  Only the
+    each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate, with the
+    coefficients of x and y made once.  Only the
     recurrence route runs it; every other value of G reads ``_closed`` or
     ``_power``, so the route stays their independent oracle.  Terms 2..p+1
     need no branch of their own: their G(k-p-1) is zero.  The arguments are
     not checked.  At most min(p, n) + 1 terms are held, so taking just the
     n-th keeps memory O(min(p, n)) terms: for n < p every G(k-p-1) read is
     zero, and so is G(k-n-1), which is read in its place."""
-    step, unit = GradedKernel.sum_of_products, GradedKernel.unit
-    zero, one = GradedKernel.zero, GradedKernel.one
+    step, zero, one = GradedKernel.sum_of_products, GradedKernel.zero, GradedKernel.one
+    x, y = (GradedKernel.coefficient(e, GradedKernel.unit) for e in (X, Y))
     lag = min(p, n)
     window = deque([zero] * lag + [one], maxlen=lag + 1)  # G(k-lag-1) .. G(k-1)
     yield from islice((zero, one), n + 1)
     for _ in range(2, n + 1):
-        window.append(step(((X, unit, window[-1]), (Y, unit, window[0]))))
+        window.append(step(((x, window[-1]), (y, window[0]))))
         yield window[-1]
 
 

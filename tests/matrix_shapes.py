@@ -139,6 +139,21 @@ def two_constant_superdiagonal(p, n):
     return HessenbergMatrix(rows)
 
 
+def three_constant_superdiagonal(p, n):
+    """build_k(p, n) with rows 1, 2, 4 and 7 scaled by 2, i, i and 2, so its
+    superdiagonal reads 1, 2, i, 1, i, 1, 1, 2 and then 1 to the end.  The
+    rows between keep the map they share, so a row that has the map above
+    repeats the row above only once every factor its band's window swaps
+    is 1: the first past row 7 to do so is row p + 9, which swaps a[8, 9]
+    for a[p + 8, p + 9], and row p + 8, which swaps a[7, 8] = 2 out, must
+    make its own coefficients."""
+    a = build_k(p, n)
+    for i, c in ((1, 2), (2, GaussianInt(0, 1)), (4, GaussianInt(0, 1)), (7, 2)):
+        if i < n:
+            a = a.scale_row(i, c)
+    return a
+
+
 def random_graded(w):
     """Entries of weight i - j + 1 with y of weight w and nonzero Gaussian
     coefficients: scalars on the superdiagonal, and every x^(d - w*b) y^b of
@@ -203,6 +218,7 @@ SHAPES = {
     "build_w": Shape(build_w, band),  # acceptance criterion 4 runs all four builders
     "far_entry": Shape(far_entry, poly),
     "two_constant_superdiagonal": Shape(two_constant_superdiagonal, band),
+    "three_constant_superdiagonal": Shape(three_constant_superdiagonal, band),
     # a zero superdiagonal entry, a[1, 2], inside the band's windows
     "zero_superdiagonal_in_band": edited(
         build_w, lambda p, n, i, j, e: ZERO if (i, j) == (1, 2) else e, band, n_min=3

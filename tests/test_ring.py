@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from fibhess import build_h, build_w, det_hessenberg, f_poly, per_hessenberg, ring
+from fibhess import (
+    build_h,
+    build_k,
+    build_m,
+    build_w,
+    det_hessenberg,
+    f_poly,
+    per_hessenberg,
+    ring,
+    sequences,
+)
 from fibhess.ring import (
     GI_ZERO,
     ONE,
@@ -273,8 +283,9 @@ def test_kernel_for_finds_the_one_y_weight(pairs, w):
 # --- the graded kernel's sum of products ---------------------------------
 #
 # GradedKernel.sum_of_products against BivarPoly arithmetic: each
-# (factor, scalar, value) triple must add f * s * v, with the value read
-# back through ``poly`` at its degree and the scalar as a constant.
+# (factor, scalar, value) triple, passed as the pair
+# (coefficient(f, s), v), must add f * s * v, with the value read back
+# through ``poly`` at its degree and the scalar as a constant.
 
 
 def graded_sum_by_polys(kernel, triples, degree):
@@ -309,13 +320,18 @@ def random_triples(rng, w, degree):
     return triples
 
 
+def graded_sum(kernel, triples, degree):
+    pairs = [(kernel.coefficient(f, s), v) for f, s, v in triples]
+    return kernel.poly(kernel.sum_of_products(pairs), degree)
+
+
 def test_graded_sum_of_products_matches_poly_arithmetic():
     rng = random.Random(25)
     for _ in range(300):
         kernel = GradedKernel(rng.randint(1, 3))
         degree = rng.randint(0, 12)
         triples = random_triples(rng, kernel.w, degree)
-        got = kernel.poly(kernel.sum_of_products(triples), degree)
+        got = graded_sum(kernel, triples, degree)
         assert got == graded_sum_by_polys(kernel, triples, degree), triples
 
 
@@ -342,9 +358,39 @@ def test_graded_sum_of_products_pads_only_where_needed(monkeypatch):
         (Y.scale(i), (3, 1), ([7, 8, 9], [1, 0, 2])),  # lands on 1..3, at the end
         (Y * Y + X * X.scale(i), (-1, 2), ([1, 1, 1, 1, 1], [2, 0, 0, 0, 3])),  # past it
     ]
-    got = kernel.poly(kernel.sum_of_products(triples), 6)
+    got = graded_sum(kernel, triples, 6)
     assert got == graded_sum_by_polys(kernel, triples, 6)
     assert {"first at j > 0", "before", "at", "past"} <= set(cases)
+
+
+MATRIX_ROUTES = {"det-w": build_w, "det-m": build_m, "per-h": build_h, "per-k": build_k}
+
+
+def test_each_kind_of_row_makes_its_coefficients_once(monkeypatch):
+    # a builder's matrix has three kinds of row, and a row that repeats the
+    # row above reuses its coefficients: the head's diagonal makes one and
+    # the first band row two, and the last row two more, which a route's
+    # stream never reaches; the recurrence makes x's and y's once
+    calls = []
+    coefficient = GradedKernel.coefficient
+
+    def counted(f, s):
+        calls.append(1)
+        return coefficient(f, s)
+
+    monkeypatch.setattr(GradedKernel, "coefficient", staticmethod(counted))
+    for p in (1, 5, 300):
+        for n in (1, 2, p + 1, p + 2, 2 * p + 3, 3001):
+            for name, bound in (("recurrence", 2), *((name, 3) for name in MATRIX_ROUTES)):
+                calls.clear()
+                sequences.ROUTES[name](p, n)
+                assert len(calls) <= bound, (name, p, n, len(calls))
+            if n < 3001:
+                for name, build in MATRIX_ROUTES.items():
+                    calls.clear()
+                    whole = det_hessenberg if name.startswith("det") else per_hessenberg
+                    whole(build(p, n))
+                    assert 0 < len(calls) <= 5, (name, p, n, len(calls))
 
 
 # --- substitution and evaluation ----------------------------------------

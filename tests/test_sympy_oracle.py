@@ -58,6 +58,16 @@ def sympy_permanent(entries):
     return sums[tuple(range(n))].as_expr() if sums else sympy.Integer(0)
 
 
+def gibson_det(entries):
+    """det of a lower-Hessenberg matrix as the permanent of the same matrix
+    with its superdiagonal negated (Gibson, Proc. AMS 27, 1971): each
+    product of t superdiagonal entries then carries the sign (-1)^t.  It
+    costs what a permanent costs, where Berkowitz is out of reach."""
+    return sympy_permanent(
+        [[-e if j == i + 1 else e for j, e in enumerate(row)] for i, row in enumerate(entries)]
+    )
+
+
 ORDERS = range(1, 8)
 
 
@@ -97,6 +107,38 @@ def test_oracles_match_sympy_on_every_shape(name):
             entries = [[to_sympy(e) for e in row] for row in a.rows()]
             assert same(det_oracle(a), sympy_det(entries)), (p, n)
             assert same(per_oracle(a), sympy_permanent(entries)), (p, n)
+
+
+# the shape rows with a band at offset p, at any p: their windows are p + 1
+# factors long, and the superdiagonal of the last two repeats irregularly
+BAND_ROWS = (
+    "build_w",
+    "far_entry",
+    "zero_superdiagonal_in_band",
+    "two_constant_superdiagonal",
+    "three_constant_superdiagonal",
+)
+
+
+def test_gibson_det_agrees_with_berkowitz():
+    # the band-row test below takes its det from Gibson's identity; pin
+    # that to Berkowitz at small orders, where Berkowitz is cheap
+    for name in BAND_ROWS:
+        for p, n in ((1, 6), (2, 7), (3, 5)):
+            entries = [[to_sympy(e) for e in row] for row in SHAPES[name].make(p, n).rows()]
+            assert sympy.expand(gibson_det(entries) - sympy_det(entries)) == 0, (name, p, n)
+
+
+@pytest.mark.parametrize("n, p", [(24, 3), (28, 7), (32, 10)])
+@pytest.mark.parametrize("name", BAND_ROWS)
+def test_band_rows_match_sympy_at_orders_24_to_32(name, n, p):
+    # the oracle grid stops at order 7, where a window is at most five
+    # factors long; here the windows reach 11, and rows repeat the row above
+    # only after a long run of equal superdiagonal scalars
+    a = SHAPES[name].make(p, n)
+    entries = [[to_sympy(e) for e in row] for row in a.rows()]
+    assert same(det_hessenberg(a), gibson_det(entries))
+    assert same(per_hessenberg(a), sympy_permanent(entries))
 
 
 def random_poly(rng):
