@@ -7,8 +7,8 @@ The fast evaluators advance iteratively over leading principal minors:
 with det(A_0) = 1, and the permanent satisfies the same recursion without
 the sign.  The diagonal is the term r = m, whose superdiagonal product is
 empty: a_{m,m} det(A_{m-1}).  The sum runs over the nonzero entries of row
-m only, the diagonal among them, nearest the diagonal first, carrying the
-superdiagonal product along: a banded matrix costs O(n) large
+m only, the diagonal among them, nearest the diagonal first, growing the
+superdiagonal product one factor at a time: a banded matrix costs O(n) large
 multiplications, a dense one O(n^2).  For det each superdiagonal entry is
 negated once up front, so the product of the i - r entries from column r
 carries the sign (-1)^(i-r).  Each entry times its superdiagonal product
@@ -32,30 +32,22 @@ superdiagonal entry first and then the diagonal and the entries to its
 left, nearest first.  A graded matrix (every entry
 weighted-homogeneous of that degree, with y of weight w; all four
 families are, with w = p + 1) runs on ``GradedKernel``: its
-superdiagonal entries are then Gaussian scalars, so the carried product
-is a pair of ints, and its minors are dense coefficient lists.  Any
+superdiagonal entries are then Gaussian scalars, so a superdiagonal
+product is a pair of ints, and its minors are dense coefficient lists.  Any
 other matrix runs on ``PolyKernel``, on ``BivarPoly`` itself.
 
-The superdiagonal product of row i's entry at offset d, from column
-c = i + d, is P(c, i) = a_{c,c+1} ... a_{i-1,i}, and the row above's
-entry at the same offset has P(c-1, i-1) = a_{c-1,c} ... a_{i-2,i-1}.
-The two share every factor but one at each end, so they are equal when
-the factor leaving, a_{c-1,c}, equals the factor entering, a_{i-1,i}.
-Row i then takes the row above's product at that offset, and otherwise
-walks it out from the nearer entry, one factor at a time.  This is exact in
-a commutative ring, needs no division and no rule for a zero factor, and
-costs each row of a paper matrix no scalar product once its band has a
-row above it: the band's walk of p factors runs once, not n - p times.
-
-A row whose entries and products are all the row above's has the row
-above's coefficients too, and reuses them.  The set-up pass decides this
-at O(1) a row: row i repeats row i - 1 when it is the same map (so it
-has the same entries at the same offsets, and the same superdiagonal
-scalar), and every factor its windows would swap, from a_{i-1+d,i+d} for
-its deepest offset d to a_{i-1,i}, lies in one run of equal scalars.
-Any other row makes its coefficients as above.  So a paper matrix makes
-its coefficients once for each kind of row, three times at any n, not
-once a row.
+Row i's entry at offset d, from column c = i + d, has the superdiagonal
+product a_{c,c+1} ... a_{i-1,i}: its window.  A row whose entries and
+windows' products are all the row above's has the row above's
+coefficients too, and reuses them.  The set-up pass decides this at O(1)
+a row: row i repeats row i - 1 when it is the same map (so it has the
+same entries at the same offsets, and the same superdiagonal scalar),
+and every factor its windows would swap, from a_{i-1+d,i+d} for its
+deepest offset d to a_{i-1,i}, lies in one run of equal scalars.  Any
+other row walks its windows out from the diagonal, one factor at a time,
+and makes its coefficients as above.  So a paper matrix walks its band's
+p factors and makes its coefficients once for each kind of row, three
+times at any n, not once a row.
 
 The recursion computes every leading minor on its way to order n, so it
 is a generator: ``leading_minors`` returns the kernel it runs on and an
@@ -158,34 +150,23 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
     # minors[k] = det/per of the leading k x k block, kept until its last read
     minors = {0: ring.one}
     yield ring.one
-    above = {}  # offset -> the superdiagonal product of the row above's entry there
     coefficient, times, step = ring.coefficient, ring.times, ring.sum_of_products
     for i, row in enumerate(rows):
         if not repeats[i]:
             # (offset, the entry times its product) for each entry on or
             # below the diagonal, kept for the rows below that repeat this one
-            coefficients, prods = [], {}
+            coefficients = []
             prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
-            entering = superdiag[i - 1]  # read only once ``above`` has a key
             # row i as stored: its superdiagonal entry first, which the rows
             # below read through superdiag, then the diagonal and leftwards,
             # nearest first, so the product grows one factor at a time
             for d, entry in row.items():
                 if d > 0:
                     continue
-                c = i + d
-                # the row above's product at offset d runs from column c - 1:
-                # it lacks superdiag[i-1] and has superdiag[c-1] in its place,
-                # so it is this one when those two factors are equal
-                if d in above and superdiag[c - 1] == entering:
-                    prod, k = above[d], c
-                else:
-                    while k > c:
-                        k -= 1
-                        prod = times(prod, superdiag[k])
-                prods[d] = prod
+                while k > i + d:
+                    k -= 1
+                    prod = times(prod, superdiag[k])
                 coefficients.append((d, coefficient(entry, prod)))
-            above = prods
         pairs = []  # a loop: a comprehension costs a frame more on Python 3.11
         for d, coeff in coefficients:
             c = i + d

@@ -25,8 +25,10 @@ nearest the diagonal first.  The dense constructor, the builders and
 entries as stored, with no sort.  Keyed by offset, equal rows are equal
 maps, so the builders list one map for every row of a kind: at most
 three maps (the rows before the band, the rows with it, the last row)
-for any n.  Nothing changes a stored map, so a map may be shared by
-several rows and by several matrices.
+for any n.  The dense constructor gives a row equal to the row above the
+same map, so a builder's matrix given densely lists the same few maps.
+Nothing changes a stored map, so a map may be shared by several rows and
+by several matrices.
 
 A matrix is checked once, where it comes in from outside: the dense
 constructor ``HessenbergMatrix(entries)`` checks its shape and its entry
@@ -69,11 +71,13 @@ class HessenbergMatrix:
                     raise ShapeError(
                         f"entry ({i + 1},{j + 1}) above the superdiagonal is nonzero"
                     )
-        # row i's offsets in reading order: +1 (if inside), 0, -1, ..., -i
-        self._rows = tuple(
-            {j - i: row[j] for j in range(min(i + 1, n - 1), -1, -1) if not row[j].is_zero()}
-            for i, row in enumerate(rows)
-        )
+        # row i's offsets in reading order: +1 (if inside), 0, -1, ..., -i;
+        # a row equal to the row above shares its map
+        maps = []
+        for i, row in enumerate(rows):
+            m = {j - i: row[j] for j in range(min(i + 1, n - 1), -1, -1) if not row[j].is_zero()}
+            maps.append(maps[-1] if maps and maps[-1] == m else m)
+        self._rows = tuple(maps)
 
     @classmethod
     def _from_nonzeros(cls, rows) -> "HessenbergMatrix":

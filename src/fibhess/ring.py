@@ -448,13 +448,9 @@ class GradedKernel:
     @staticmethod
     def coefficient(f: BivarPoly, s: tuple[int, int]) -> list[tuple[int, int, int]]:
         """A graded factor f times a scalar s, as one ``(j, re, im)`` for each
-        term of f: its y-degree j and the parts of its coefficient times s."""
+        monomial of f: its y-degree j and the parts of its coefficient times s."""
         sr, si = s
-        coefficient = []  # a loop: a comprehension costs a frame more on Python 3.11
-        for (_, j, ie), c in f._terms.items():
-            # c*s for a real term c*y^j, c*i*s for an i-term
-            coefficient.append((j, -c * si, c * sr) if ie else (j, c * sr, c * si))
-        return coefficient
+        return [(j, re * sr - im * si, re * si + im * sr) for _, j, re, im in f.term_parts()]
 
     @staticmethod
     def sum_of_products(pairs):

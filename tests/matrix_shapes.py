@@ -120,11 +120,10 @@ def two_constant_superdiagonal(p, n):
     """Graded with y of weight p + 1: x on the diagonal, two Gaussian
     constants a and b on the superdiagonal in the order a, a, b, a, b, b, a,
     and entries c*y at offset p and c*x*y at offset p + 1, c varying by row.
-    The recursion takes a row's product at an offset from the row above
-    when the factor leaving its window equals the one entering, and walks
-    it otherwise; in this order that happens at some rows and not at
-    others, at both offsets, where a periodic order could let a wrong
-    carry give the right value."""
+    From row p on, c changes every row, so each row is its own map and
+    none repeats the row above: every such row walks its windows of p and
+    p + 1 factors out from the diagonal, over a superdiagonal that varies
+    in no short period."""
     a, b = BivarPoly.constant(GaussianInt(1, 1)), BivarPoly.constant(GaussianInt(2, -1))
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):

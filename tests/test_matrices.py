@@ -281,10 +281,15 @@ def test_builders_store_rows_in_reading_order(builder, p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_builders_share_equal_rows(builder, p):
     # keyed by offset, a builder's rows are three maps at most, whatever n
-    # is: the rows before the band, the rows with it and the last row
-    for n in (1, 2, p + 1, p + 2, 3000):
+    # is: the rows before the band, the rows with it and the last row; the
+    # dense constructor shares a map between equal rows too
+    for n in (1, 2, p + 1, p + 2, 60, 3000):
         a = builder(p, n)
         assert len({id(row) for row in a._rows}) <= 3, n
+        if n <= 60:
+            dense = HessenbergMatrix(a.rows())
+            assert dense.rows() == a.rows()
+            assert len({id(row) for row in dense._rows}) <= 3, n
 
 
 def test_scale_row_leaves_a_shared_map_alone():

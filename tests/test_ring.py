@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fibhess import (
+    HessenbergMatrix,
     build_h,
     build_k,
     build_m,
@@ -326,6 +327,8 @@ def graded_sum(kernel, triples, degree):
 
 
 def test_graded_sum_of_products_matches_poly_arithmetic():
+    # a complex coefficient is one triple, (2 + 3i)(1 + i) = -1 + 5i
+    assert GradedKernel.coefficient(Y.scale(GaussianInt(2, 3)), (1, 1)) == [(1, -1, 5)]
     rng = random.Random(25)
     for _ in range(300):
         kernel = GradedKernel(rng.randint(1, 3))
@@ -387,10 +390,12 @@ def test_each_kind_of_row_makes_its_coefficients_once(monkeypatch):
                 assert len(calls) <= bound, (name, p, n, len(calls))
             if n < 3001:
                 for name, build in MATRIX_ROUTES.items():
-                    calls.clear()
                     whole = det_hessenberg if name.startswith("det") else per_hessenberg
-                    whole(build(p, n))
-                    assert 0 < len(calls) <= 5, (name, p, n, len(calls))
+                    # the builder's matrix, and the same matrix given densely
+                    for a in (build(p, n), HessenbergMatrix(build(p, n).rows())):
+                        calls.clear()
+                        whole(a)
+                        assert 0 < len(calls) <= 5, (name, p, n, len(calls))
 
 
 # --- substitution and evaluation ----------------------------------------

@@ -743,8 +743,8 @@ def test_every_route_matches_closed_form_at_large_n(p):
 
 def test_band_walks_its_superdiagonal_product_once(monkeypatch):
     # the first row with the band walks its p superdiagonal factors, and
-    # each row below takes its product from the row above: about n*p scalar
-    # products would be 810,000 here
+    # the rows below repeat it: a walk of p factors a row would be about
+    # n*p = 810,000 scalar products here
     calls = []
     times = GradedKernel.times
 
