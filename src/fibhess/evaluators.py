@@ -23,9 +23,12 @@ picked before the loop starts: ``leading_minors`` passes
 at offset d (column minus row) with its degree 1 - d.  A matrix keys each
 row's entries by that offset, so equal rows can be one map: a builder's
 matrix lists at most three maps, whatever n is, and the maps are found
-by ``id``, one lookup a row.  ``_recursion`` then makes one set-up pass
-over the rows for the superdiagonal scalars, converted once per distinct
-map, each minor's last reader and the rows that repeat the row above.
+by ``id``.  ``_recursion`` then makes one set-up pass over the rows for
+the superdiagonal scalars, each minor's last reader and the rows that
+repeat the row above.  Each distinct map's scalar, deepest offset and
+offsets on or below the diagonal are read once, and a row looks its map
+up only where it is not the row above's map; each minor's last reader is
+kept in a list indexed by column, -1 where no row reads that minor.
 The loop reads each row's entries as
 stored, with no sort: a matrix stores each row in reading order, its
 superdiagonal entry first and then the diagonal and the entries to its
@@ -124,29 +127,35 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
     # distinct map and negated for det, so that a product of i - c of them
     # carries the sign (-1)^(i-c); last_read[c] is the last row with a
     # nonzero in column c on or below the diagonal, the last to read minor
-    # c, and a minor no row reads has no key; repeats[i] is whether row i
-    # has row i - 1's coefficients (the module docstring's rule): it is the
-    # same map, and superdiag[i - 1 + deepest] .. superdiag[i - 1], every
-    # factor its windows swap, lie in one run of equal scalars.  maps holds
-    # each distinct map's scalar and its deepest offset, its last key, as a
-    # map is stored in reading order
+    # c, or -1 where no row reads it; repeats[i] is whether row i has row
+    # i - 1's coefficients (the module docstring's rule): it is the same
+    # map, and superdiag[i - 1 + deepest] .. superdiag[i - 1], every factor
+    # its windows swap, lie in one run of equal scalars.  maps holds each
+    # distinct map's scalar, its deepest offset (its last key, as a map is
+    # stored in reading order) and its offsets d <= 0, and a row looks its
+    # map up only where the map differs from the row above's
     maps = {
-        key: (ring.scalar(row.get(1, ZERO), signed), next(reversed(row), 0))
+        key: (
+            ring.scalar(row.get(1, ZERO), signed),
+            next(reversed(row), 0),
+            [d for d in row if d <= 0],
+        )
         for key, row in distinct.items()
     }
-    superdiag, last_read, repeats = [], {}, []
+    superdiag, last_read, repeats = [], [-1] * (len(rows) + 1), []
     start, prev = 0, None  # the run superdiag[i - 1] is in starts at superdiag[start]
     for i, row in enumerate(rows):
-        scalar, deepest = maps[id(row)]
-        same = row is prev  # the map above has this scalar, so only a new map ends a run
-        if not same and i and scalar != superdiag[-1]:
-            start = i
-        repeats.append(same and start <= i - 1 + deepest)
+        if row is prev:  # the map above has this scalar, so only a new map ends a run
+            repeats.append(start <= i - 1 + deepest)
+        else:
+            scalar, deepest, reads = maps[id(row)]
+            if i and scalar != superdiag[-1]:
+                start = i
+            repeats.append(False)
+            prev = row
         superdiag.append(scalar)
-        prev = row
-        for d in row:
-            if d <= 0:
-                last_read[i + d] = i
+        for d in reads:
+            last_read[i + d] = i
     # minors[k] = det/per of the leading k x k block, kept until its last read
     minors = {0: ring.one}
     yield ring.one
@@ -172,7 +181,7 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
             c = i + d
             pairs.append((coeff, minors.pop(c) if last_read[c] == i else minors[c]))
         minor = step(pairs)
-        if i + 1 in last_read:
+        if last_read[i + 1] >= 0:
             minors[i + 1] = minor
         yield minor
 

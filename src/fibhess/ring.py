@@ -38,7 +38,12 @@ w = p + 1.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
 of plain ints indexed by j, and a second list for the imaginary parts,
 empty until a step makes one: no exponent is stored or hashed,
-multiplying by x is free, and multiplying by y shifts the list.  ``GradedKernel.poly`` is the
+multiplying by x is free, and multiplying by y shifts the list.  A graded
+``sum_of_products`` builds each part from its terms in order: a first term
+1 * v at shift 0 is v's own list, shared, not copied; the next term into a
+shared list builds one new list in one pass, and later terms add into that
+new list in place.  No list a value holds is changed, so values may share
+lists.  ``GradedKernel.poly`` is the
 one way back to a ``BivarPoly``.  ``kernel_for`` picks the kernel from the
 factors a recursion will read and the degree each one must have: the
 graded kernel when one y-weight fits them all, else ``PolyKernel``.
@@ -424,7 +429,10 @@ class GradedKernel:
     factor, such as a matrix entry, stays a graded ``BivarPoly``, and the
     factor times a scalar is its coefficient: one ``(j, re, im)`` for each
     term c*x^a*y^j, which multiplies a value by re + im*i and shifts its
-    lists by j, so a sum of products is a few list adds.
+    lists by j, so a sum of products is a few list adds.  A value may share
+    a list with another: a sum's part whose first term is 1 * v at shift 0
+    is v's list itself, and only a list the sum made itself is added into
+    in place.  No list a value holds is changed.
     """
 
     zero = ([], [])
@@ -454,20 +462,33 @@ class GradedKernel:
 
     @staticmethod
     def sum_of_products(pairs):
-        """c1*v1 + c2*v2 + ... over (coefficient, value) pairs, as one value."""
+        """c1*v1 + c2*v2 + ... over (coefficient, value) pairs, as one value.
+
+        Each part, re and im, starts empty and takes its terms in order
+        through ``_add_scaled``: a first term 1 * v at shift 0 is v's own
+        list, shared, a term into a shared list builds one new list, and
+        later terms add into that new list in place.  No list a value holds
+        is changed."""
+        # whether each part is a list this call made: a part is shared
+        # exactly when it is the list its last term read
         re, im = [], []
+        re_own = im_own = True
         for coeff, (vr, vi) in pairs:
             for j, cr, ci in coeff:
                 # (cr + ci*i)(vr + vi*i) = cr*vr - ci*vi + (cr*vi + ci*vr)*i
                 if cr:
-                    _add_scaled(re, j, cr, vr)
+                    re = _add_scaled(re, re_own, j, cr, vr)
+                    re_own = re is not vr
                 if ci:
-                    _add_scaled(im, j, ci, vr)
+                    im = _add_scaled(im, im_own, j, ci, vr)
+                    im_own = im is not vr
                 if vi:
                     if ci:
-                        _add_scaled(re, j, -ci, vi)
+                        re = _add_scaled(re, re_own, j, -ci, vi)
+                        re_own = re is not vi
                     if cr:
-                        _add_scaled(im, j, cr, vi)
+                        im = _add_scaled(im, im_own, j, cr, vi)
+                        im_own = im is not vi
         return re, im
 
     @staticmethod
@@ -497,22 +518,31 @@ class GradedKernel:
         return _wrap(terms)
 
 
-def _add_scaled(out: list[int], j: int, c: int, v: list[int]) -> None:
-    """out[j + k] += c * v[k] for every k, in place, extending ``out`` with
-    zeros as needed.  An empty ``out`` stands for zeros: the first addition
-    copies instead of adding.  A pad is made only where one is needed: at
-    a shift j > 0 into an empty ``out``, and where v ends past ``out``'s
-    end; most adds need neither."""
+def _add_scaled(out: list[int], own: bool, j: int, c: int, v: list[int]) -> list[int]:
+    """The list of out[j + k] + c * v[k] for every k, with out's other
+    entries as they are and zeros where ``out`` is short.  v is never
+    changed, and ``out`` only where ``own`` says it is the caller's own
+    list: it is then added into in place and returned.  An empty ``out``
+    stands for zeros: 1 * v at j = 0 gives v itself, shared, and any other
+    term a new list; a shared ``out`` gives a new list made in one pass.
+    A pad is made only where one is needed: at a shift j > 0 into an empty
+    ``out``, where v starts past a shared out's end, and where v ends past
+    an own out's end; most adds need none."""
     part = v if c == 1 else map(mul, v, repeat(c))
     if not out:
-        if j:
-            out.extend(repeat(0, j))
-        out.extend(part)
-        return
+        return v if part is v and not j else [*repeat(0, j), *part]
     end = j + len(v)
-    if end > len(out):
-        out.extend(repeat(0, end - len(out)))
-    out[j:end] = map(add, out[j:end], part)
+    if own:
+        if end > len(out):
+            out.extend(repeat(0, end - len(out)))
+        out[j:end] = map(add, out[j:end], part)
+        return out
+    if end <= len(out):
+        return [*out[:j], *map(add, out[j:end], part), *out[end:]]
+    # past out's end: the sum runs out with out, and the rest of v's terms
+    # follow it, after zeros where v starts past the end
+    part = iter(part)
+    return [*out[:j], *repeat(0, j - len(out)), *map(add, out[j:], part), *part]
 
 
 def kernel_for(pairs):

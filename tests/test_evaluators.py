@@ -17,7 +17,7 @@ from fibhess.evaluators import (
     per_oracle,
 )
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from fibhess import evaluators, ring
+from fibhess import evaluators, ring, sequences
 from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt
 from fibhess.sequences import f_poly, family_value, get_family
 from matrix_shapes import SHAPES, far_entry
@@ -225,6 +225,37 @@ def test_oracle_equivalence_grid(name, p, n):
     assert graded_weight(a) == shape.kernel(p, n)
     assert det_hessenberg(a) == det_oracle(a)
     assert per_hessenberg(a) == per_oracle(a)
+
+
+def snapshot(value):
+    """A copy of a raw value that shares no list with it: a graded value's
+    two lists as tuples, or a ``BivarPoly``'s terms."""
+    return value.term_parts() if isinstance(value, BivarPoly) else tuple(map(tuple, value))
+
+
+def unchanged_after_the_end(values):
+    """Whether each value the stream ``values`` yields is still what it
+    was when yielded, once the stream has ended."""
+    seen = [(value, snapshot(value)) for value in values]
+    return all(snapshot(value) == snap for value, snap in seen)
+
+
+def test_no_stream_changes_a_value_after_yielding_it():
+    # a graded sum shares its first term's list when that term is 1 * v at
+    # shift 0, and no later step may add into it: the five fast streams at
+    # p 1, 2, 5 up to n = 120, and det and per of every row of
+    # tests/matrix_shapes.py at p 1-4 and n up to 7
+    for name in sequences._FAST_ROUTES:
+        for p in (1, 2, 5):
+            _, values = sequences.ROUTES[name].prefix(p, 120)
+            assert unchanged_after_the_end(values), (name, p)
+    for name, shape in SHAPES.items():
+        for p in range(1, 5):
+            for n in range(shape.n_min, 8):
+                a = shape.make(p, n)
+                for signed in (True, False):
+                    _, values = evaluators.leading_minors(a, signed)
+                    assert unchanged_after_the_end(values), (name, p, n, signed)
 
 
 @contextlib.contextmanager

@@ -339,31 +339,67 @@ def test_graded_sum_of_products_matches_poly_arithmetic():
 
 
 def test_graded_sum_of_products_pads_only_where_needed(monkeypatch):
-    # a first contribution at shift j = 1, then ones that end before, at and
-    # past the list built so far: each pad case of _add_scaled, on both
-    # parts, against BivarPoly arithmetic
-    cases = []
+    # each pad case of _add_scaled, a contribution that ends before, at or
+    # past the list built so far or starts past its end, on both paths: a
+    # second term into a shared first list, which builds a new list, and a
+    # later term, which adds into that list in place; and a first term at
+    # shift j = 1.  Each sum against BivarPoly arithmetic, with every input
+    # list left as it was
+    cases = set()
     add_scaled = ring._add_scaled
 
-    def recorded(out, j, c, v):
+    def recorded(out, own, j, c, v):
         end = j + len(v)
         if not out:
-            cases.append("first at j > 0" if j else "first")
+            cases.add("first at j > 0" if j else "first")
         else:
-            cases.append("before" if end < len(out) else "at" if end == len(out) else "past")
-        return add_scaled(out, j, c, v)
+            where = "before" if end < len(out) else "at" if end == len(out) else "past"
+            where = "after" if j > len(out) else where
+            cases.add(f"{where}, {'in place' if own else 'new list'}")
+        return add_scaled(out, own, j, c, v)
 
     monkeypatch.setattr(ring, "_add_scaled", recorded)
     kernel, i = GradedKernel(1), GaussianInt(0, 1)
-    triples = [
-        (Y, (2, 0), ([1, 2, 3], [])),  # degree 1 + 5, lands on 1..3
-        (X, (1, -1), ([4, 5], [6])),  # lands on 0..1, before the end 4
-        (Y.scale(i), (3, 1), ([7, 8, 9], [1, 0, 2])),  # lands on 1..3, at the end
-        (Y * Y + X * X.scale(i), (-1, 2), ([1, 1, 1, 1, 1], [2, 0, 0, 0, 3])),  # past it
+    shared = (X, (1, 0), ([1, 2, 3, 4], []))  # degree 1 + 5: re is the value's list, 0..3
+    sums = [
+        # a shared first list of length 4, then a second term that ends
+        # before, at or past its end or starts after it, then a third term
+        # in place
+        [shared, (Y, (2, 0), ([5, 6], [])), (X, (1, -1), ([4, 5], [6]))],
+        [shared, (Y, (2, 0), ([5, 6, 7], [])), (X, (3, 1), ([7, 8, 9, 1], [1, 0, 2]))],
+        [shared, (Y, (1, 0), ([1, 1, 1, 1], [])), (X, (-1, 2), ([1, 1, 1, 1, 1, 1], [2]))],
+        [shared, (Y**5, (1, 0), ([2], []))],
+        # a third term that starts after the end of the list made so far
+        [(X, (1, 0), ([1, 2, 3, 4, 5], [])), (X, (1, 0), ([1], [])), (Y**6, (2, 0), ([3], []))],
+        # a first term at j = 1, then one past its end
+        [
+            (Y.scale(i), (3, 1), ([7, 8], [1, 0])),
+            (Y * Y + X * X.scale(i), (-1, 2), ([1, 1, 1, 1, 1], [2, 0, 0, 0, 3])),
+        ],
     ]
-    got = graded_sum(kernel, triples, 6)
-    assert got == graded_sum_by_polys(kernel, triples, 6)
-    assert {"first at j > 0", "before", "at", "past"} <= set(cases)
+    for triples in sums:
+        inputs = [(list(re), list(im)) for _, _, (re, im) in triples]
+        got = graded_sum(kernel, triples, 6)
+        assert got == graded_sum_by_polys(kernel, triples, 6), triples
+        assert [value for _, _, value in triples] == inputs
+    paths = ("new list", "in place")
+    wanted = {f"{where}, {path}" for where in ("before", "at", "past", "after") for path in paths}
+    assert wanted | {"first", "first at j > 0"} <= cases, cases
+
+
+def test_graded_sum_of_products_shares_only_a_first_list(monkeypatch):
+    # a first term 1 * v at shift 0 is v's own list, whatever came before
+    # it into an empty part: a new empty list (a term of an empty value)
+    # followed by a shared first term is not the sum's own list, so the
+    # terms after it build a new list and leave v as it is
+    kernel = GradedKernel(1)
+    v, empty = ([1, 2, 3], [4, 5, 6]), ([], [])
+    assert kernel.sum_of_products([([(0, 1, 0)], v)]) == v
+    assert kernel.sum_of_products([([(0, 1, 0)], v)])[0] is v[0]
+    pairs = [([(0, 2, 3)], empty), ([(0, 1, 0)], v), ([(1, 1, 1)], ([7], [8]))]
+    got = kernel.sum_of_products(pairs)
+    assert v == ([1, 2, 3], [4, 5, 6])
+    assert got == ([1, 2 + 7 - 8, 3], [4, 5 + 8 + 7, 6])
 
 
 MATRIX_ROUTES = {"det-w": build_w, "det-m": build_m, "per-h": build_h, "per-k": build_k}
