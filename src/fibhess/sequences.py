@@ -13,9 +13,10 @@ A fast route is its stream, ``ROUTES[name].prefix(p, n)``: the kernel it
 runs on and the raw values of G(p, 1..n) from one pass, the recurrence's
 terms or the leading minors of orders 0..n-1 of one order-n matrix (whose
 leading k x k block is the order-k matrix; the stream stops before it
-computes order n).  Calling the route gives G(p, n), the stream's last
-value, the only one it converts to ``BivarPoly``; G(p, 0) = 0 is the value
-of the recurrence's empty stream, and ``f_poly`` is the recurrence route.
+computes order n).  Calling a matrix route gives G(p, n), the stream's
+last value, the only one it converts to ``BivarPoly``.  Calling the
+recurrence route gives G(p, n) by columns (below), with G(p, 0) = 0, and
+``f_poly`` is the recurrence route.
 ``cross_check_prefix(p, n)`` walks the five streams in lockstep and yields
 ``cross_check(p, k)`` for k = 1..n, converting only each cell's own values
 to ``BivarPoly``; the CLI grid runs on it.  The oracle routes stay
@@ -44,11 +45,16 @@ that rule is applied: a family with two constants and ``fib_p_number``
 both take G from it, and a family with a variable seed folds the closed
 form.
 
-The recurrence route runs G's recurrence on the ring's graded kernel
-(G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1)
-and converts only its results to ``BivarPoly``; ``f_poly`` is that
-route's value and ``f_poly_prefix`` its stream.  Nothing else runs the
-recurrence, so the tests can hold the closed form and the power to it.
+The recurrence route's stream runs G's recurrence on the ring's graded
+kernel (G(p, k) is weighted-homogeneous of degree k - 1 when y has weight
+p + 1), and ``f_poly_prefix`` converts it.  The route's value, which
+``f_poly``, ``cross_check`` and ``gen`` read, runs the same recurrence by
+columns instead: read down one y-degree j, G's coefficients are a running
+sum, c_j(k) = c_j(k-1) + c_{j-1}(k-p-1), so ``_by_columns`` takes each
+column as one ``itertools.accumulate`` of the one before, with no kernel
+call and no ``GradedKernel.poly``, and so shares no arithmetic with the
+four matrix routes.  Nothing else runs the recurrence, so the tests can
+hold the closed form and the power to it.
 """
 
 from __future__ import annotations
@@ -56,11 +62,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import accumulate, islice
 
 from .evaluators import check_budget, det_oracle, last_poly, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GradedKernel, check_count
+from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GradedKernel, _wrap, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -73,7 +79,8 @@ def _recurrence(p: int, n: int) -> Iterator:
     p + 1 and G(k) has degree k - 1: G(1) = 1, G(k) = 0 for k <= 0, and
     each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate, with the
     coefficients of x and y made once.  Only the
-    recurrence route runs it; every other value of G reads ``_closed`` or
+    recurrence route's stream runs it, and its value runs the same
+    recurrence by columns; every other value of G reads ``_closed`` or
     ``_power``, so the route stays their independent oracle.  Terms 2..p+1
     need no branch of their own: their G(k-p-1) is zero.  The arguments are
     not checked.  At most min(p, n) + 1 terms are held, so taking just the
@@ -87,6 +94,26 @@ def _recurrence(p: int, n: int) -> Iterator:
     for _ in range(2, n + 1):
         window.append(step(((x, window[-1]), (y, window[0]))))
         yield window[-1]
+
+
+def _by_columns(p: int, n: int) -> BivarPoly:
+    """G(p, n) from its recurrence read down each y-degree j: with
+    w = p + 1, coefficient j of G(p, k), c_j(k) = c_j(k-1) + c_{j-1}(k-w),
+    is a running sum of column j - 1, so column j over the orders
+    w*j+1..n is ``accumulate`` of column j - 1's first n - w*j entries
+    (c_0 = 1), and its last entry is coefficient j of G(p, n).  Each column
+    is built by C-level adds, with no kernel call; two columns are held at
+    a time, each of at most n coefficients, and none is built when p >= n.
+    The ``BivarPoly`` is made from explicit keys, not through
+    ``GradedKernel.poly``.  The arguments are not checked."""
+    w = p + 1
+    terms = {(n - 1, 0, 0): 1} if n else {}
+    column = [1] * max(n - w, 0)  # c_0 over the orders w+1..n
+    for j in range(1, (n - 1) // w + 1):
+        del column[n - w * j :]
+        column = list(accumulate(column))
+        terms[(n - 1 - w * j, j, 0)] = column[-1]
+    return _wrap(terms)
 
 
 def _power_wins(p: int, m: int) -> bool:
@@ -219,7 +246,9 @@ def _fold(g, d: int, w: int, cx, cy):
 
 
 def f_poly(p: int, n: int) -> BivarPoly:
-    """n-th term of the coefficiented recurrence for parameter p."""
+    """n-th term of the coefficiented recurrence for parameter p: the
+    recurrence route's value, computed by columns (``_by_columns``), with
+    two columns of at most n coefficients held at a time."""
     return ROUTES["recurrence"](p, n)
 
 
@@ -353,8 +382,7 @@ class _Route:
     """A fast route, as its stream: ``prefix(p, n)`` gives the kernel it
     runs on and an iterator over the raw values of G(p, 1..n), all from one
     recursion, G(p, k) being ``ring.poly(value, k - 1)``.  Calling the route
-    gives G(p, n), the stream's last value; the recurrence's empty stream at
-    n = 0 gives G(p, 0) = 0."""
+    gives G(p, n), the stream's last value."""
 
     __slots__ = ("prefix",)
 
@@ -363,6 +391,22 @@ class _Route:
 
     def __call__(self, p: int, n: int) -> BivarPoly:
         return last_poly(*self.prefix(p, n), n - 1)
+
+
+class _RecurrenceRoute(_Route):
+    """The recurrence route: its stream is ``_recurrence``'s terms on the
+    graded kernel, and calling it gives G(p, n) from ``_by_columns``, the
+    same value with no kernel call, G(p, 0) = 0 included.  The stream
+    serves the readers of every order (``f_poly_prefix``,
+    ``cross_check_prefix``), since holding every order by columns would
+    hold Theta(n^2 / p) coefficients at once; the columns serve the readers
+    of one value."""
+
+    __slots__ = ()
+
+    def __call__(self, p: int, n: int) -> BivarPoly:
+        _check_args(p, n)
+        return _by_columns(p, n)
 
 
 def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:
@@ -404,7 +448,7 @@ def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -
 # the builders and oracles in this module's globals at call time, so that a
 # name rebound here (a patched builder, a traced oracle) is used.
 ROUTES: dict[str, _Value] = {
-    "recurrence": _Route(_recurrence_prefix),
+    "recurrence": _RecurrenceRoute(_recurrence_prefix),
     "det-w": _matrix_route(lambda p, n: build_w(p, n), signed=True),
     "det-m": _matrix_route(lambda p, n: build_m(p, n), signed=True),
     "per-h": _matrix_route(lambda p, n: build_h(p, n), signed=False),

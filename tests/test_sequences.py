@@ -1,6 +1,7 @@
 """Sequence recurrence, integer shadow, specializations, cross-check."""
 
 import math
+import re
 import tracemalloc
 from collections import deque
 
@@ -299,7 +300,7 @@ def test_route_prefix_matches_each_order(name):
     # one pass gives G(p, 1..n); at n = 1 a matrix stream reads only the
     # order-0 minor of the order-1 matrix
     route = sequences.ROUTES[name]
-    for p in range(1, 5):
+    for p in range(1, 8):
         expected = [route(p, k) for k in range(1, 21)]
         for n in range(1, 21):
             ring, values = route.prefix(p, n)
@@ -361,13 +362,24 @@ def test_oracle_route_checks_its_cap_before_it_builds(name, message):
 
 
 def test_f_poly_is_the_recurrence_route():
-    # G(p, 0) = 0 is the value of the recurrence's empty stream
+    # the route's value comes by columns and must be its stream's last
+    # value, G(p, 0) = 0 from the empty stream and G(p, 1) = 1 included
     route = sequences.ROUTES["recurrence"]
-    for p in range(1, 5):
-        terms = f_poly_prefix(p, 30)
+    for p in range(1, 8):
+        terms = f_poly_prefix(p, 120)
         assert route(p, 0) == f_poly(p, 0) == terms[0] == ZERO
-        for n in range(1, 31):
-            assert f_poly(p, n) == route(p, n) == terms[n], (p, n)
+        assert route(p, 1) == f_poly(p, 1) == terms[1] == ONE
+        for n in range(121):
+            last = evaluators.last_poly(*route.prefix(p, n), n - 1)
+            assert f_poly(p, n) == route(p, n) == terms[n] == last, (p, n)
+    for p, n in [(1, 3001), (300, 3001)]:
+        assert route(p, n) == evaluators.last_poly(*route.prefix(p, n), n - 1), (p, n)
+    # a bad count fails as the stream fails, with the same message
+    for p, n in [(0, 3), (2, -1), (2.0, 3), (2, 3.0)]:
+        with pytest.raises((TypeError, ValueError)) as by_stream:
+            route.prefix(p, n)
+        with pytest.raises(by_stream.type, match=f"^{re.escape(str(by_stream.value))}$"):
+            route(p, n)
 
 
 def test_p_far_beyond_n(monkeypatch):
@@ -384,6 +396,12 @@ def test_p_far_beyond_n(monkeypatch):
         return gauss_pow(c, k)
 
     monkeypatch.setattr(sequences, "_gauss_pow", bounded)
+
+    def no_column(*args):
+        raise AssertionError("a column was built for n <= p")
+
+    # and G(p, n)'s value by columns builds no column
+    monkeypatch.setattr(sequences, "accumulate", no_column)
     assert f_poly(huge, 3) == X**2
     assert fib_p_number(huge, 5) == 1
     # a power of p + 1 coefficients would not fit: the closed form runs,
@@ -479,6 +497,7 @@ def test_non_int_count_is_rejected_before_any_work(monkeypatch, call, p, n, name
         raise AssertionError("work started before the count was checked")
 
     monkeypatch.setattr(sequences, "_recurrence", work)
+    monkeypatch.setattr(sequences, "_by_columns", work)
     monkeypatch.setattr(sequences, "_power", work)
     monkeypatch.setattr(sequences, "_closed", work)
     monkeypatch.setattr(HessenbergMatrix, "_from_nonzeros", work)
@@ -495,6 +514,46 @@ def test_cross_check_names_corrupted_route(monkeypatch):
     assert not r.all_equal
     assert r.first_mismatch == ("recurrence", "det-w")
     assert list(r.values) == ["recurrence", "det-w", "det-m", "per-h", "per-k"]
+
+
+def subtracting_shared_add(out, own, j, c, v):
+    """``ring._add_scaled`` with one fault: a term into a shared list that
+    holds all of v subtracts c * v instead of adding it."""
+    end = j + len(v)
+    if out and not own and end <= len(out):
+        return [*out[:j], *(a - c * b for a, b in zip(out[j:end], v)), *out[end:]]
+    return ADD_SCALED(out, own, j, c, v)
+
+
+def poly_with_x_exponents_up(self, value, degree, xe=1, ye=1):
+    """``GradedKernel.poly`` with one fault: term j's x exponent is
+    degree + w*j, not degree - w*j."""
+    terms = {}
+    for ie, part in enumerate(value):
+        for j, c in enumerate(part):
+            if c:
+                terms[(xe * (degree + self.w * j), ye * j, ie)] = c
+    return ring._wrap(terms)
+
+
+ADD_SCALED = ring._add_scaled
+KERNEL_FAULTS = {
+    "add-scaled-shared-subtracts": (ring, "_add_scaled", subtracting_shared_add),
+    "poly-x-exponent-plus": (GradedKernel, "poly", poly_with_x_exponents_up),
+}
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+@pytest.mark.parametrize("p, n", [(1, 40), (2, 60), (5, 80)])
+def test_a_graded_kernel_fault_splits_the_recurrence_from_the_matrices(monkeypatch, fault, p, n):
+    # the recurrence route's value runs no graded kernel code, so a fault
+    # there changes the four matrix routes alike but not the recurrence,
+    # and the five-way check names the first matrix route
+    monkeypatch.setattr(*KERNEL_FAULTS[fault])
+    r = cross_check(p, n)
+    assert not r.all_equal
+    assert r.first_mismatch == ("recurrence", "det-w")
+    assert plain_terms(r.values["recurrence"]) == closed_form(p, n + 1)
 
 
 # --- closed form ----------------------------------------------------------------
