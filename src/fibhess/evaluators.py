@@ -68,9 +68,10 @@ no row reads, minor n among them, is never kept.  A matrix with one
 sub-diagonal band at offset p therefore holds p + 1 minors between rows,
 not n + 1, and memory is O(p * terms) instead of O(n * terms).
 
-``last_poly`` takes a stream's last raw value as a ``BivarPoly``; the
-det/per evaluators here and every route in ``sequences`` read their one
-value through it.
+``last_poly`` takes a stream's last raw value as a ``BivarPoly``, through
+the conversion function it is given: the kernel's ``poly`` for a stream
+of minors.  The det/per evaluators here and every matrix route in
+``sequences`` read their one value through it.
 
 The brute-force oracles cross-check the recursions at small orders by one
 expansion, ``_laplace``, along the first row (the recursion expands along
@@ -186,15 +187,16 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
         yield minor
 
 
-def last_poly(ring, values: Iterator, degree: int) -> BivarPoly:
-    """The last raw value of the stream ``values`` as ``ring``'s
-    ``BivarPoly`` of the given degree, or zero for an empty stream."""
+def last_poly(poly, values: Iterator, degree: int) -> BivarPoly:
+    """``poly(value, degree)`` of the last raw value of the stream
+    ``values``, or zero for an empty stream."""
     tail = deque(values, maxlen=1)
-    return ring.poly(tail[0], degree) if tail else ZERO
+    return poly(tail[0], degree) if tail else ZERO
 
 
 def _whole(a: HessenbergMatrix, signed: bool) -> BivarPoly:
-    return last_poly(*leading_minors(a, signed), a.n)
+    ring, minors = leading_minors(a, signed)
+    return last_poly(ring.poly, minors, a.n)
 
 
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:

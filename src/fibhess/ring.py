@@ -26,15 +26,16 @@ The Hessenberg recursion of ``evaluators`` is written once over a small
 ring interface (one, unit, scalar, times, coefficient, sum_of_products,
 poly) with two implementations: ``PolyKernel`` on ``BivarPoly`` itself,
 and ``GradedKernel`` on weighted-homogeneous values, where x has weight 1
-and y weight w.  ``coefficient(entry, scalar)`` is a factor times a
+and y weight w.  ``coefficient(entry, scalar)`` is a matrix entry times a
 scalar in the kernel's own form, made once and read by any number of
 ``sum_of_products`` calls over ``(coefficient, value)`` pairs: a matrix
-row that repeats the row above reuses its coefficients, and the
-recurrence makes x's and y's once.  On ``PolyKernel`` a coefficient is
-the product ``entry * scalar`` and ``sum_of_products`` is the ring's own.
-G(p, n), with a family's constants folded into its coefficients, and
-every leading minor of the W/M/H/K matrices are such values for
-w = p + 1.  A graded value of degree d is fixed by its
+row that repeats the row above reuses its coefficients.  On
+``PolyKernel`` a coefficient is the product ``entry * scalar`` and
+``sum_of_products`` is the ring's own.  Every leading minor of the
+W/M/H/K matrices is such a value for w = p + 1.  The kernel serves that
+recursion only: ``sequences`` computes G itself in plain ints, and
+converts its own values, so the recurrence shares no arithmetic with the
+matrix routes.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
 of plain ints indexed by j, and a second list for the imaginary parts,
 empty until a step makes one: no exponent is stored or hashed,
@@ -43,10 +44,10 @@ multiplying by x is free, and multiplying by y shifts the list.  A graded
 1 * v at shift 0 is v's own list, shared, not copied; the next term into a
 shared list builds one new list in one pass, and later terms add into that
 new list in place.  No list a value holds is changed, so values may share
-lists.  ``GradedKernel.poly`` is the
-one way back to a ``BivarPoly``.  ``kernel_for`` picks the kernel from the
-factors a recursion will read and the degree each one must have: the
-graded kernel when one y-weight fits them all, else ``PolyKernel``.
+lists.  ``GradedKernel.poly`` is the kernel's one way back to a
+``BivarPoly``.  ``kernel_for`` picks the kernel from the factors a
+recursion will read and the degree each one must have: the graded kernel
+when one y-weight fits them all, else ``PolyKernel``.
 """
 
 from __future__ import annotations
@@ -435,7 +436,6 @@ class GradedKernel:
     in place.  No list a value holds is changed.
     """
 
-    zero = ([], [])
     one = ([1], [])
     unit = (1, 0)
 
@@ -505,16 +505,15 @@ class GradedKernel:
         get = e._terms.get
         return int(mono == var_mono), get((*mono, 0), 0), get((*mono, 1), 0)
 
-    def poly(self, value, degree: int, xe: int = 1, ye: int = 1) -> BivarPoly:
+    def poly(self, value, degree: int) -> BivarPoly:
         """The ``BivarPoly`` of a graded value of the given degree, its term
-        j read as x^(xe*(degree - w*j)) * y^(ye*j).  ``xe`` or ``ye`` is 0
-        when a constant took the place of that variable."""
+        j read as x^(degree - w*j) * y^j."""
         w = self.w
         terms = {}
         for ie, part in enumerate(value):
             for j, c in enumerate(part):
                 if c:
-                    terms[(xe * (degree - w * j), ye * j, ie)] = c
+                    terms[(degree - w * j, j, ie)] = c
         return _wrap(terms)
 
 

@@ -9,14 +9,14 @@ brute-force oracles included, to a function of (p, n) that returns
 G(p, n); cross_check runs the five fast routes and compares each with the
 recurrence exactly.
 
-A fast route is its stream, ``ROUTES[name].prefix(p, n)``: the kernel it
-runs on and the raw values of G(p, 1..n) from one pass, the recurrence's
-terms or the leading minors of orders 0..n-1 of one order-n matrix (whose
-leading k x k block is the order-k matrix; the stream stops before it
-computes order n).  Calling a matrix route gives G(p, n), the stream's
-last value, the only one it converts to ``BivarPoly``.  Calling the
-recurrence route gives G(p, n) by columns (below), with G(p, 0) = 0, and
-``f_poly`` is the recurrence route.
+A fast route is its stream, ``ROUTES[name].prefix(p, n)``: the function
+that converts its raw values to ``BivarPoly`` and the raw values of
+G(p, 1..n) from one pass, the recurrence's terms or the leading minors of
+orders 0..n-1 of one order-n matrix (whose leading k x k block is the
+order-k matrix; the stream stops before it computes order n).  Calling a
+matrix route gives G(p, n), the stream's last value, the only one it
+converts.  Calling the recurrence route gives G(p, n) by columns (below),
+with G(p, 0) = 0, and ``f_poly`` is the recurrence route.
 ``cross_check_prefix(p, n)`` walks the five streams in lockstep and yields
 ``cross_check(p, k)`` for k = 1..n, converting only each cell's own values
 to ``BivarPoly``; the CLI grid runs on it.  The oracle routes stay
@@ -45,16 +45,22 @@ that rule is applied: a family with two constants and ``fib_p_number``
 both take G from it, and a family with a variable seed folds the closed
 form.
 
-The recurrence route's stream runs G's recurrence on the ring's graded
-kernel (G(p, k) is weighted-homogeneous of degree k - 1 when y has weight
-p + 1), and ``f_poly_prefix`` converts it.  The route's value, which
-``f_poly``, ``cross_check`` and ``gen`` read, runs the same recurrence by
-columns instead: read down one y-degree j, G's coefficients are a running
-sum, c_j(k) = c_j(k-1) + c_{j-1}(k-p-1), so ``_by_columns`` takes each
-column as one ``itertools.accumulate`` of the one before, with no kernel
-call and no ``GradedKernel.poly``, and so shares no arithmetic with the
-four matrix routes.  Nothing else runs the recurrence, so the tests can
-hold the closed form and the power to it.
+G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1,
+so its raw graded value is the list of its coefficients by y-degree j, as
+the ring's graded kernel holds a value.  The four matrix routes run on
+that kernel; nothing here does.  Read down one y-degree j, G's
+coefficients are a running sum, c_j(k) = c_j(k-1) + c_{j-1}(k-p-1).  The
+recurrence route's stream, which ``f_poly_prefix``, ``cross_check_prefix``
+and ``check`` read, applies that rule across each order in one list
+display of plain ints (``_recurrence``); its value, which ``f_poly``,
+``cross_check`` and ``gen`` read, applies it down each column, one
+``itertools.accumulate`` of the one before (``_by_columns``).  So neither
+shares arithmetic with the matrix routes, and a fault in the kernel splits
+the recurrence from them, in one cell and in the grid.  Every value this
+module makes, the families' included, becomes a ``BivarPoly`` through one
+conversion from explicit keys, ``_poly``; ``GradedKernel.poly`` converts
+the matrix routes alone.  Nothing else runs the recurrence, so the tests
+can hold the closed form and the power to it.
 """
 
 from __future__ import annotations
@@ -62,7 +68,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Callable, Iterator
+from functools import partial
 from itertools import accumulate, islice
+from operator import add
 
 from .evaluators import check_budget, det_oracle, last_poly, leading_minors, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
@@ -75,25 +83,43 @@ def _check_args(p: int, n: int, n_min: int = 0) -> None:
 
 
 def _recurrence(p: int, n: int) -> Iterator:
-    """Yield terms 0..n of G on the graded kernel, where y has weight
-    p + 1 and G(k) has degree k - 1: G(1) = 1, G(k) = 0 for k <= 0, and
-    each step x*G(k-1) + y*G(k-p-1) is one multiply-accumulate, with the
-    coefficients of x and y made once.  Only the
-    recurrence route's stream runs it, and its value runs the same
-    recurrence by columns; every other value of G reads ``_closed`` or
-    ``_power``, so the route stays their independent oracle.  Terms 2..p+1
-    need no branch of their own: their G(k-p-1) is zero.  The arguments are
-    not checked.  At most min(p, n) + 1 terms are held, so taking just the
-    n-th keeps memory O(min(p, n)) terms: for n < p every G(k-p-1) read is
-    zero, and so is G(k-n-1), which is read in its place."""
-    step, zero, one = GradedKernel.sum_of_products, GradedKernel.zero, GradedKernel.one
-    x, y = (GradedKernel.coefficient(e, GradedKernel.unit) for e in (X, Y))
+    """Yield G(0..n)'s raw graded values ``(re, [])``, in plain ints, with
+    y of weight p + 1: ``re`` lists G(k)'s coefficients of
+    x^(k-1-(p+1)*j)*y^j by y-degree j.  G(0) = 0, G(1) = 1, and each step
+    is one list display of G(k) = x*G(k-1) + y*G(k-p-1), coefficient by
+    coefficient c_j(k) = c_j(k-1) + c_{j-1}(k-p-1): the rule
+    ``_by_columns`` reads down each column, here read across each order.
+    Only the recurrence route's stream runs it, and the route's value runs
+    ``_by_columns``; every other value of G reads ``_closed`` or
+    ``_power``, so the route stays their independent oracle.  It calls no
+    graded-kernel code, so it shares no arithmetic with the four matrix
+    routes.  Terms 2..p+1 need no branch of their own: their G(k-p-1) is
+    empty.  The arguments are not checked.  At most min(p, n) + 1 lists
+    are held, so taking just the n-th keeps memory O(min(p, n)) terms: for
+    n < p every G(k-p-1) read is zero, and so is G(k-n-1), which is read
+    in its place.  No yielded list is changed."""
     lag = min(p, n)
-    window = deque([zero] * lag + [one], maxlen=lag + 1)  # G(k-lag-1) .. G(k-1)
-    yield from islice((zero, one), n + 1)
+    window = deque([[]] * lag + [[1]], maxlen=lag + 1)  # G(k-lag-1) .. G(k-1)
+    yield from islice((([], []), ([1], [])), n + 1)
     for _ in range(2, n + 1):
-        window.append(step(((x, window[-1]), (y, window[0]))))
-        yield window[-1]
+        a, b = window[-1], window[0]
+        window.append([a[0], *map(add, a[1:], b), *b[len(a) - 1 :]])
+        yield window[-1], []
+
+
+def _poly(value, degree: int, w: int, xe: int = 1, ye: int = 1) -> BivarPoly:
+    """The ``BivarPoly`` of a raw graded value ``(re, im)`` of the given
+    degree with y of weight w, its term j read as
+    x^(xe*(degree - w*j)) * y^(ye*j), made from explicit keys.  ``xe`` or
+    ``ye`` is 0 when a constant took the place of that variable.  Every
+    value this module makes is converted here, not by
+    ``GradedKernel.poly``, which converts only the matrix routes."""
+    terms = {}
+    for ie, part in enumerate(value):
+        for j, c in enumerate(part):
+            if c:
+                terms[(xe * (degree - w * j), ye * j, ie)] = c
+    return _wrap(terms)
 
 
 def _by_columns(p: int, n: int) -> BivarPoly:
@@ -104,16 +130,15 @@ def _by_columns(p: int, n: int) -> BivarPoly:
     (c_0 = 1), and its last entry is coefficient j of G(p, n).  Each column
     is built by C-level adds, with no kernel call; two columns are held at
     a time, each of at most n coefficients, and none is built when p >= n.
-    The ``BivarPoly`` is made from explicit keys, not through
-    ``GradedKernel.poly``.  The arguments are not checked."""
+    The arguments are not checked."""
     w = p + 1
-    terms = {(n - 1, 0, 0): 1} if n else {}
+    coeffs = [1] if n else []
     column = [1] * max(n - w, 0)  # c_0 over the orders w+1..n
     for j in range(1, (n - 1) // w + 1):
         del column[n - w * j :]
         column = list(accumulate(column))
-        terms[(n - 1 - w * j, j, 0)] = column[-1]
-    return _wrap(terms)
+        coeffs.append(column[-1])
+    return _poly((coeffs, []), n - 1, w)
 
 
 def _power_wins(p: int, m: int) -> bool:
@@ -174,7 +199,7 @@ def _at_constants(p: int, m: int, cx, cy) -> tuple[int, int]:
 def _closed(p: int, n: int):
     """G(p, n)'s raw graded value from its closed form,
     G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints
-    (``GradedKernel.zero`` for n < 1).  With N = n-1-p*j, coefficients
+    (no coefficients for n < 1).  With N = n-1-p*j, coefficients
     j <= 2p are ``math.comb(N, j)``, and each one past them follows from
     the last by one exact ratio:
     C(N-p, j+1) = C(N, j) * perm(N-j, p+1) / ((j+1) * perm(N, p)).
@@ -191,7 +216,7 @@ def _closed(p: int, n: int):
     The two loops make (n-1) // (p+1) steps in all, so a p far past n
     costs nothing.  The arguments are not checked."""
     if n < 1:
-        return GradedKernel.zero
+        return [], []
     count, top, coeffs = (n - 1) // (p + 1), n - 1, [1]
     for j in range(1, min(count, 2 * p) + 1):
         top -= p
@@ -258,8 +283,8 @@ def f_poly_prefix(p: int, n: int) -> list[BivarPoly]:
     Theta(n^3 / p) bits in all: ``f_poly_prefix(1, 2000)`` holds 1,001,000
     terms and peaks near 273 MiB.  Iterate ``ROUTES["recurrence"].prefix``
     for one term at a time."""
-    ring, values = ROUTES["recurrence"].prefix(p, n)
-    return [ZERO, *(ring.poly(v, k) for k, v in enumerate(values))]
+    poly, values = ROUTES["recurrence"].prefix(p, n)
+    return [ZERO, *(poly(v, k) for k, v in enumerate(values))]
 
 
 def fib_p_number(p: int, n: int) -> int:
@@ -342,13 +367,13 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     m = n + spec.index_offset
     xe, *cx = GradedKernel.seed(spec.xsub, "x")
     ye, *cy = GradedKernel.seed(spec.ysub, "y")
-    ring = GradedKernel(eff_p + 1)
+    w = eff_p + 1
     if not xe | ye:
         # two constants put every term of G on the monomial 1
         re, im = _at_constants(eff_p, m, cx, cy)
-        return ring.poly(([re], [im]), m - 1, 0, 0)
+        return _poly(([re], [im]), m - 1, w, 0, 0)
     # a variable seed keeps each term of G its own monomial
-    return ring.poly(_fold(_closed(eff_p, m), m - 1, ring.w, cx, cy), m - 1, xe, ye)
+    return _poly(_fold(_closed(eff_p, m), m - 1, w, cx, cy), m - 1, w, xe, ye)
 
 
 def get_family(name: str) -> FamilySpec:
@@ -376,17 +401,20 @@ class CrossCheckReport(Frozen):
 
 
 _Value = Callable[[int, int], BivarPoly]
+# (raw value, degree) -> BivarPoly: a stream's conversion
+_Poly = Callable[[object, int], BivarPoly]
 
 
 class _Route:
-    """A fast route, as its stream: ``prefix(p, n)`` gives the kernel it
-    runs on and an iterator over the raw values of G(p, 1..n), all from one
-    recursion, G(p, k) being ``ring.poly(value, k - 1)``.  Calling the route
-    gives G(p, n), the stream's last value."""
+    """A fast route, as its stream: ``prefix(p, n)`` gives the function
+    ``poly`` that converts the route's raw values and an iterator over the
+    raw values of G(p, 1..n), all from one recursion, G(p, k) being
+    ``poly(value, k - 1)``.  Calling the route gives G(p, n), the stream's
+    last value."""
 
     __slots__ = ("prefix",)
 
-    def __init__(self, prefix: Callable[[int, int], tuple[object, Iterator]]) -> None:
+    def __init__(self, prefix: Callable[[int, int], tuple[_Poly, Iterator]]) -> None:
         self.prefix = prefix
 
     def __call__(self, p: int, n: int) -> BivarPoly:
@@ -394,13 +422,13 @@ class _Route:
 
 
 class _RecurrenceRoute(_Route):
-    """The recurrence route: its stream is ``_recurrence``'s terms on the
-    graded kernel, and calling it gives G(p, n) from ``_by_columns``, the
-    same value with no kernel call, G(p, 0) = 0 included.  The stream
-    serves the readers of every order (``f_poly_prefix``,
-    ``cross_check_prefix``), since holding every order by columns would
-    hold Theta(n^2 / p) coefficients at once; the columns serve the readers
-    of one value."""
+    """The recurrence route: its stream is ``_recurrence``'s terms, with
+    ``_poly`` as its conversion, and calling it gives G(p, n) from
+    ``_by_columns``, the same value by columns, G(p, 0) = 0 included.
+    Neither calls graded-kernel code.  The stream serves the readers of
+    every order (``f_poly_prefix``, ``cross_check_prefix``), since holding
+    every order by columns would hold Theta(n^2 / p) coefficients at once;
+    the columns serve the readers of one value."""
 
     __slots__ = ()
 
@@ -409,9 +437,9 @@ class _RecurrenceRoute(_Route):
         return _by_columns(p, n)
 
 
-def _recurrence_prefix(p: int, n: int) -> tuple[GradedKernel, Iterator]:
+def _recurrence_prefix(p: int, n: int) -> tuple[_Poly, Iterator]:
     _check_args(p, n)
-    return GradedKernel(p + 1), islice(_recurrence(p, n), 1, None)
+    return partial(_poly, w=p + 1), islice(_recurrence(p, n), 1, None)
 
 
 def _on_matrix(evaluate: _Value, signed: bool) -> _Value:
@@ -434,11 +462,12 @@ def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -
     """The route through det (``signed``) or per of build(p, n - 1).  Its
     stream reads the leading minors of build(p, n), whose k x k block is
     build(p, k): the minors of orders 0..n-1 are G(p, 1..n), and the stream
-    stops before it computes order n.  The builder checks p and n."""
+    stops before it computes order n.  Its values convert by the kernel's
+    ``poly``.  The builder checks p and n."""
 
-    def prefix(p: int, n: int) -> tuple[object, Iterator]:
+    def prefix(p: int, n: int) -> tuple[_Poly, Iterator]:
         ring, minors = leading_minors(build(p, n), signed)
-        return ring, islice(minors, n)
+        return ring.poly, islice(minors, n)
 
     return _Route(prefix)
 
@@ -478,16 +507,17 @@ def cross_check_prefix(p: int, n: int) -> Iterator[CrossCheckReport]:
     """An iterator over ``cross_check(p, k)`` for k = 1..n, in order, from
     one pass of each fast route: the four order-n matrices and the
     recurrence up to G(p, n+1).  The five streams are walked in lockstep,
-    and each report converts only its own five values, so memory stays
-    O(p * terms) per route whatever n is."""
+    and a stream that ends before the others raises ValueError.  Each
+    report converts only its own five values, each by its route's
+    ``poly``, so memory stays O(p * terms) per route whatever n is."""
     _check_args(p, n, n_min=1)
     streams = [ROUTES[name].prefix(p, n + 1) for name in _FAST_ROUTES]
     return _reports(p, streams)
 
 
-def _reports(p: int, streams: list[tuple[object, Iterator]]) -> Iterator[CrossCheckReport]:
-    rings = [ring for ring, _ in streams]
-    cells = islice(zip(*(values for _, values in streams)), 1, None)  # from G(p, 2)
+def _reports(p: int, streams: list[tuple[_Poly, Iterator]]) -> Iterator[CrossCheckReport]:
+    # from G(p, 2); strict, so a stream that runs short fails the grid
+    cells = islice(zip(*(values for _, values in streams), strict=True), 1, None)
     for k, raw in enumerate(cells, 1):
-        values = {name: ring.poly(v, k) for name, ring, v in zip(_FAST_ROUTES, rings, raw)}
+        values = {name: poly(v, k) for name, (poly, _), v in zip(_FAST_ROUTES, streams, raw)}
         yield _report(p, k, values)

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from collections import deque
 
 import pytest
 
@@ -409,7 +410,8 @@ def test_each_kind_of_row_makes_its_coefficients_once(monkeypatch):
     # a builder's matrix has three kinds of row, and a row that repeats the
     # row above reuses its coefficients: the head's diagonal makes one and
     # the first band row two, and the last row two more, which a route's
-    # stream never reaches; the recurrence makes x's and y's once
+    # stream never reaches; the recurrence makes none, by its value or its
+    # stream, as it runs no graded-kernel code
     calls = []
     coefficient = GradedKernel.coefficient
 
@@ -420,10 +422,13 @@ def test_each_kind_of_row_makes_its_coefficients_once(monkeypatch):
     monkeypatch.setattr(GradedKernel, "coefficient", staticmethod(counted))
     for p in (1, 5, 300):
         for n in (1, 2, p + 1, p + 2, 2 * p + 3, 3001):
-            for name, bound in (("recurrence", 2), *((name, 3) for name in MATRIX_ROUTES)):
+            for name, bound in (("recurrence", 0), *((name, 3) for name in MATRIX_ROUTES)):
                 calls.clear()
                 sequences.ROUTES[name](p, n)
                 assert len(calls) <= bound, (name, p, n, len(calls))
+            calls.clear()
+            deque(sequences.ROUTES["recurrence"].prefix(p, n)[1], maxlen=0)
+            assert calls == [], (p, n)
             if n < 3001:
                 for name, build in MATRIX_ROUTES.items():
                     whole = det_hessenberg if name.startswith("det") else per_hessenberg

@@ -4,9 +4,11 @@ import math
 import re
 import tracemalloc
 from collections import deque
+from itertools import islice
 
 import pytest
 
+import fibhess.cli as cli
 import fibhess.evaluators as evaluators
 import fibhess.ring as ring
 import fibhess.sequences as sequences
@@ -303,15 +305,16 @@ def test_route_prefix_matches_each_order(name):
     for p in range(1, 8):
         expected = [route(p, k) for k in range(1, 21)]
         for n in range(1, 21):
-            ring, values = route.prefix(p, n)
-            got = [ring.poly(v, k - 1) for k, v in enumerate(values, 1)]
+            poly, values = route.prefix(p, n)
+            got = [poly(v, k - 1) for k, v in enumerate(values, 1)]
             assert got == expected[:n], (p, n)
 
 
 @pytest.mark.parametrize("p", range(1, 8))
 def test_fast_streams_agree_as_raw_values(p):
-    # all five run on the graded kernel, where a value has one form: a real
-    # and an imaginary list, the latter empty when nothing imaginary is left
+    # the four matrix streams run on the graded kernel and the recurrence's
+    # in plain ints, and a raw value has one form in both: a real and an
+    # imaginary list, the latter empty when nothing imaginary is left
     streams = [sequences.ROUTES[name].prefix(p, 120) for name in FAST_ROUTES]
     cells = list(zip(*(values for _, values in streams)))
     assert len(cells) == 120
@@ -525,14 +528,14 @@ def subtracting_shared_add(out, own, j, c, v):
     return ADD_SCALED(out, own, j, c, v)
 
 
-def poly_with_x_exponents_up(self, value, degree, xe=1, ye=1):
+def poly_with_x_exponents_up(self, value, degree):
     """``GradedKernel.poly`` with one fault: term j's x exponent is
     degree + w*j, not degree - w*j."""
     terms = {}
     for ie, part in enumerate(value):
         for j, c in enumerate(part):
             if c:
-                terms[(xe * (degree + self.w * j), ye * j, ie)] = c
+                terms[(degree + self.w * j, j, ie)] = c
     return ring._wrap(terms)
 
 
@@ -545,15 +548,39 @@ KERNEL_FAULTS = {
 
 @pytest.mark.parametrize("fault", KERNEL_FAULTS)
 @pytest.mark.parametrize("p, n", [(1, 40), (2, 60), (5, 80)])
-def test_a_graded_kernel_fault_splits_the_recurrence_from_the_matrices(monkeypatch, fault, p, n):
-    # the recurrence route's value runs no graded kernel code, so a fault
-    # there changes the four matrix routes alike but not the recurrence,
-    # and the five-way check names the first matrix route
+def test_a_graded_kernel_fault_splits_the_recurrence_from_the_matrices(
+    monkeypatch, capsys, fault, p, n
+):
+    # neither the recurrence route's value nor its stream runs graded
+    # kernel code, so a fault there changes the four matrix routes alike
+    # but not the recurrence, and the five-way check names the first matrix
+    # route: in one cell, in the grid, and in the CLI's grid
     monkeypatch.setattr(*KERNEL_FAULTS[fault])
     r = cross_check(p, n)
     assert not r.all_equal
     assert r.first_mismatch == ("recurrence", "det-w")
     assert plain_terms(r.values["recurrence"]) == closed_form(p, n + 1)
+    first = next(cell for cell in sequences.cross_check_prefix(p, n) if not cell.all_equal)
+    assert first.first_mismatch == ("recurrence", "det-w")
+    assert plain_terms(first.values["recurrence"]) == closed_form(p, first.n + 1)
+    assert cli.main(["check", "--p-max", "2", "--n-max", "40"]) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"80 checks, \d+ passed\n", out) and out != "80 checks, 80 passed\n"
+    assert re.fullmatch(r"FAIL at p=1, n=\d+: recurrence != det-w\n", err)
+
+
+def test_a_stream_that_runs_short_fails_the_grid(monkeypatch):
+    # the five streams are walked in lockstep, so one that ends a value
+    # early must raise, not drop the cells it no longer reaches
+    prefix = sequences.ROUTES["det-w"].prefix
+
+    def short(p, n):
+        poly, values = prefix(p, n)
+        return poly, islice(values, n - 1)
+
+    monkeypatch.setitem(sequences.ROUTES, "det-w", sequences._Route(short))
+    with pytest.raises(ValueError, match="shorter"):
+        list(sequences.cross_check_prefix(2, 10))
 
 
 # --- closed form ----------------------------------------------------------------
@@ -612,7 +639,10 @@ def test_family_matches_closed_form(name):
 
 def test_variable_seed_family_runs_no_step(monkeypatch):
     # chebyshev-U reads G from its closed form and scales each coefficient
-    # once by its constants' powers: no recurrence step adds a list
+    # once by its constants' powers: no recurrence step adds a list.  And
+    # nothing in sequences runs graded-kernel arithmetic or conversion: the
+    # recurrence's value and stream, f_poly_prefix, every family and
+    # fib_p_number make and convert their own values
     calls = []
     add_scaled = ring._add_scaled
 
@@ -620,8 +650,23 @@ def test_variable_seed_family_runs_no_step(monkeypatch):
         calls.append(args)
         return add_scaled(*args)
 
+    def refused(*args):
+        raise AssertionError("graded-kernel code ran in sequences")
+
     monkeypatch.setattr(ring, "_add_scaled", recorded)
+    for name in ("sum_of_products", "coefficient", "poly"):
+        monkeypatch.setattr(GradedKernel, name, refused)
     assert family_value(get_family("chebyshev-U"), 60) != ZERO
+    route = sequences.ROUTES["recurrence"]
+    # the power takes the two-constant families at (1, 60), the closed
+    # form at (3, 61)
+    assert {sequences._power_wins(p, n) for p, n in [(1, 60), (3, 61)]} == {True, False}
+    for p, n in [(1, 60), (3, 61)]:
+        stream_last = evaluators.last_poly(*route.prefix(p, n), n - 1)
+        assert route(p, n) == stream_last == f_poly_prefix(p, n)[n] != ZERO, (p, n)
+        for fam in FAMILIES.values():
+            assert family_value(fam, n, p=p) != ZERO, (fam.name, p, n)
+        assert fib_p_number(p, n) > 0
     assert calls == []
 
 
@@ -691,9 +736,12 @@ def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
     m = 3001
     xe, *cx = GradedKernel.seed(xsub, "x")
     ye, *cy = GradedKernel.seed(ysub, "y")
-    kernel = GradedKernel(p + 1)
-    folded = fold_by_powers(recurrence_value(p, m), m - 1, p + 1, cx, cy)
-    expected = kernel.poly(folded, m - 1, xe, ye)
+    d, w = m - 1, p + 1
+    real, imag = fold_by_powers(recurrence_value(p, m), d, w, cx, cy)
+    # explicit keys, so that a fault in the families' conversion cannot
+    # reach the oracle
+    terms = enumerate(zip(real, imag))
+    expected = BivarPoly({(xe * (d - w * j), ye * j): GaussianInt(r, i) for j, (r, i) in terms})
     assert family_value(fam, m - shift, p=p) == expected
 
 
