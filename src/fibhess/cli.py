@@ -8,11 +8,12 @@ the n-th sequence term; matrix routes give the det or per of the
 
 The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
 ``check`` takes each p's row of cells from ``sequences.cross_check_prefix``,
-one pass of each fast route up to --n-max, and prints each cell as it
-comes, so a P x N grid costs about what P cells at n = N cost, and no row
-is held in memory.  With ``--format json`` each distinct value of a cell
-is rendered and encoded once, from its term map: when the report finds the
-five routes equal, the recurrence's term list is the text of all five.
+one pass of the recurrence and one of each distinct matrix plan up to
+--n-max, and prints each cell as it comes, so a P x N grid costs about
+what P cells at n = N cost, and no row is held in memory.  With
+``--format json`` each distinct value of a cell is rendered and encoded
+once, from its term map: when the report finds the five routes equal, the
+recurrence's term list is the text of all five.
 
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage
 error, 3 brute-force oracle budget exceeded.  Each command checks its

@@ -16,23 +16,25 @@ is the entry's coefficient, made by the kernel's ``coefficient``, and a
 row's (coefficient, minor) pairs go to the kernel's ``sum_of_products``
 in one call, so a row builds one new value.
 
-The loop is written once over the ring's kernel interface: one, unit,
-scalar, times, coefficient, sum_of_products and poly.  The kernel is
-picked before the loop starts: ``leading_minors`` passes
+The recursion is two parts, a set-up and a loop, written once over the
+ring's kernel interface: one, unit, scalar, times, coefficient,
+sum_of_products and poly.  The set-up, ``_plan``, makes a plan of the
+first rows of a matrix; the loop, ``_run``, runs a plan, and it is the
+one loop of every caller.  The kernel is picked first: ``_plan`` passes
 ``ring.kernel_for`` the entries of each distinct row map once, each entry
 at offset d (column minus row) with its degree 1 - d.  A matrix keys each
 row's entries by that offset, so equal rows can be one map: a builder's
-matrix lists at most three maps, whatever n is, and the maps are found
-by ``id``.  ``_recursion`` then makes one set-up pass over the rows for
-the superdiagonal scalars, each minor's last reader and the rows that
-repeat the row above.  Each distinct map's scalar, deepest offset and
-offsets on or below the diagonal are read once, and a row looks its map
-up only where it is not the row above's map; each minor's last reader is
-kept in a list indexed by column, -1 where no row reads that minor.
-The loop reads each row's entries as
-stored, with no sort: a matrix stores each row in reading order, its
-superdiagonal entry first and then the diagonal and the entries to its
-left, nearest first.  A graded matrix (every entry
+matrix lists at most three maps, whatever n is, and a map is taken only
+where it is not the row above's.  ``_plan`` then makes one pass over the
+rows for the superdiagonal scalars, each minor's last reader, the rows
+that repeat the row above and each other row's coefficients.  Each
+distinct map's scalar, deepest offset and offsets on or below the
+diagonal are read once, and a row looks its map up only where it is not
+the row above's map; each minor's last reader is kept in a list indexed
+by column, -1 where no row reads that minor.  The set-up reads each row's
+entries as stored, with no sort: a matrix stores each row in reading
+order, its superdiagonal entry first and then the diagonal and the
+entries to its left, nearest first.  A graded matrix (every entry
 weighted-homogeneous of that degree, with y of weight w; all four
 families are, with w = p + 1) runs on ``GradedKernel``: its
 superdiagonal entries are then Gaussian scalars, so a superdiagonal
@@ -42,7 +44,7 @@ other matrix runs on ``PolyKernel``, on ``BivarPoly`` itself.
 Row i's entry at offset d, from column c = i + d, has the superdiagonal
 product a_{c,c+1} ... a_{i-1,i}: its window.  A row whose entries and
 windows' products are all the row above's has the row above's
-coefficients too, and reuses them.  The set-up pass decides this at O(1)
+coefficients too, and reuses them.  The set-up decides this at O(1)
 a row: row i repeats row i - 1 when it is the same map (so it has the
 same entries at the same offsets, and the same superdiagonal scalar),
 and every factor its windows would swap, from a_{i-1+d,i+d} for its
@@ -50,16 +52,30 @@ deepest offset d to a_{i-1,i}, lies in one run of equal scalars.  Any
 other row walks its windows out from the diagonal, one factor at a time,
 and makes its coefficients as above.  So a paper matrix walks its band's
 p factors and makes its coefficients once for each kind of row, three
-times at any n, not once a row.
+times at any n, not once a row, and its plan lists three runs of rows.
 
-The recursion computes every leading minor on its way to order n, so it
-is a generator: ``leading_minors`` returns the kernel it runs on and an
-iterator over the minors of orders 0..n as raw kernel values, and the
-caller converts with the kernel's ``poly`` only the values it reads.
-``det_hessenberg`` and ``per_hessenberg`` convert the last one.  The
-leading k x k block of each of the four matrix families at order n is the
-same family at order k, so one pass over the order-n matrix gives the
-route values of every order up to n.
+A plan holds everything the loop reads: the kernel's type and w, each
+run's coefficients and length, and each minor's last reader.  Plans
+compare by value, and two equal plans give equal minors, converted
+alike.  After the set-up, the four paper matrices of one (p, n) have
+equal plans: det negates each superdiagonal scalar, and every builder's
+band coefficient, its entry times its window's product, is then y, and
+its diagonal coefficient x.  So ``sequences.cross_check`` and
+``cross_check_prefix`` make each matrix route's plan, run the loop once
+per distinct plan and convert each group's values once; what stays per
+route is the set-up, from the builder to the repeat rule, and any fault
+there gives its route a plan of its own.
+
+The recursion computes every leading minor on its way to the last order
+its plan covers, so the loop is a generator: ``leading_minors`` plans all
+n rows and returns the kernel and an iterator over the minors of orders
+0..n as raw kernel values, and the caller converts with the kernel's
+``poly`` only the values it reads.  ``det_hessenberg`` and
+``per_hessenberg`` convert the last one.  The leading k x k block of
+each of the four matrix families at order n is the same family at order
+k, so one pass over the order-n matrix gives the route values of every
+order up to n; a route's plan covers only the rows whose minors it
+reads.
 
 A minor is kept only while a later row reads it: minor c is read by every
 row with a nonzero in column c on or below the diagonal, row c's diagonal
@@ -85,6 +101,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from itertools import chain, repeat
 
 from .matrices import HessenbergMatrix
 from .ring import BivarPoly, Frozen, ZERO, check_count, kernel_for
@@ -113,28 +130,38 @@ def leading_minors(a: HessenbergMatrix, signed: bool) -> tuple[object, Iterator]
     """The kernel ``kernel_for`` picks from a's nonzeros, and an iterator
     over the det (``signed``) or per of a's leading k x k blocks for
     k = 0..n, in order, as raw values of that kernel: ``ring.poly(value, k)``
-    is block k's ``BivarPoly``.  The kernel is picked from the nonzeros
-    when this is called; the set-up pass over the rows runs at the
-    iterator's first ``next()``, and the recursion as it is consumed."""
+    is block k's ``BivarPoly``.  The set-up, ``_plan`` over all n rows,
+    runs when this is called, and ``_run``, the loop every caller of the
+    recursion shares, runs as the iterator is consumed."""
+    ring, plan = _plan(a, signed, a.n)
+    return ring, _run(ring, plan)
+
+
+def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]:
+    """The set-up of the det (``signed``) or per recursion over a's first
+    ``order`` rows, which give the minors of orders 0..order:
+    ``(ring, plan)``, the kernel ``kernel_for`` picks from all of a's
+    nonzeros and ``(kind, coefficients, lengths, last_read)`` for ``_run``.
+    kind is the kernel's type and its w (None for ``PolyKernel``).  The
+    rows come in runs, each row of a run but its first repeating the row
+    above: coefficients[r] is run r's ``(offset, coefficient)`` list and
+    lengths[r] its number of rows.  last_read[c] is the last row to read
+    minor c, -1 where no row reads it.  The loop reads nothing else, so
+    two plans that are equal, compared by value, give equal minors,
+    converted alike."""
     rows = a._rows
-    # each distinct row map once, found by id: rows may share a map
-    distinct = {id(row): row for row in rows}
+    # each distinct row map once: rows that share a map are mostly runs,
+    # so a map is taken only where the row above has another
+    distinct, prev = {}, None
+    for row in rows:
+        if row is not prev:
+            distinct[id(row)] = prev = row
     ring = kernel_for((1 - d, e) for row in distinct.values() for d, e in row.items())
-    return ring, _recursion(rows, distinct, ring, signed)
-
-
-def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
-    # one pass over the rows: superdiag[k] = a[k, k+1], converted once per
-    # distinct map and negated for det, so that a product of i - c of them
-    # carries the sign (-1)^(i-c); last_read[c] is the last row with a
-    # nonzero in column c on or below the diagonal, the last to read minor
-    # c, or -1 where no row reads it; repeats[i] is whether row i has row
-    # i - 1's coefficients (the module docstring's rule): it is the same
-    # map, and superdiag[i - 1 + deepest] .. superdiag[i - 1], every factor
-    # its windows swap, lie in one run of equal scalars.  maps holds each
-    # distinct map's scalar, its deepest offset (its last key, as a map is
-    # stored in reading order) and its offsets d <= 0, and a row looks its
-    # map up only where the map differs from the row above's
+    # each distinct map's scalar a[k, k+1], negated for det so that a
+    # product of i - c of them carries the sign (-1)^(i-c), its deepest
+    # offset (its last key, as a map is stored in reading order) and its
+    # offsets d <= 0; a row looks its map up only where the map differs
+    # from the row above's
     maps = {
         key: (
             ring.scalar(row.get(1, ZERO), signed),
@@ -143,42 +170,56 @@ def _recursion(rows, distinct: dict, ring, signed: bool) -> Iterator:
         )
         for key, row in distinct.items()
     }
-    superdiag, last_read, repeats = [], [-1] * (len(rows) + 1), []
+    coefficient, times = ring.coefficient, ring.times
+    superdiag, coefficients, lengths, last_read = [], [], [], [-1] * (order + 1)
     start, prev = 0, None  # the run superdiag[i - 1] is in starts at superdiag[start]
-    for i, row in enumerate(rows):
-        if row is prev:  # the map above has this scalar, so only a new map ends a run
-            repeats.append(start <= i - 1 + deepest)
+    for i, row in enumerate(rows[:order]):
+        # row i repeats row i - 1 (the module docstring's rule) when it is
+        # the same map, and superdiag[i - 1 + deepest] .. superdiag[i - 1],
+        # every factor its windows swap, lie in one run of equal scalars;
+        # the map above has this scalar, so only a new map ends a run
+        if row is prev and start <= i - 1 + deepest:
+            lengths[-1] += 1
         else:
-            scalar, deepest, reads = maps[id(row)]
-            if i and scalar != superdiag[-1]:
-                start = i
-            repeats.append(False)
-            prev = row
-        superdiag.append(scalar)
-        for d in reads:
-            last_read[i + d] = i
-    # minors[k] = det/per of the leading k x k block, kept until its last read
-    minors = {0: ring.one}
-    yield ring.one
-    coefficient, times, step = ring.coefficient, ring.times, ring.sum_of_products
-    for i, row in enumerate(rows):
-        if not repeats[i]:
+            if row is not prev:
+                scalar, deepest, reads = maps[id(row)]
+                if i and scalar != superdiag[-1]:
+                    start = i
+                prev = row
             # (offset, the entry times its product) for each entry on or
-            # below the diagonal, kept for the rows below that repeat this one
-            coefficients = []
+            # below the diagonal; row i as stored: its superdiagonal entry
+            # first, which the rows below read through superdiag, then the
+            # diagonal and leftwards, nearest first, so the product grows
+            # one factor at a time
+            entries = []
             prod, k = ring.unit, i  # prod = superdiag[k] * ... * superdiag[i-1]
-            # row i as stored: its superdiagonal entry first, which the rows
-            # below read through superdiag, then the diagonal and leftwards,
-            # nearest first, so the product grows one factor at a time
             for d, entry in row.items():
                 if d > 0:
                     continue
                 while k > i + d:
                     k -= 1
                     prod = times(prod, superdiag[k])
-                coefficients.append((d, coefficient(entry, prod)))
+                entries.append((d, coefficient(entry, prod)))
+            coefficients.append(entries)
+            lengths.append(1)
+        superdiag.append(scalar)
+        for d in reads:
+            last_read[i + d] = i
+    return ring, ((type(ring), getattr(ring, "w", None)), coefficients, lengths, last_read)
+
+
+def _run(ring, plan: tuple) -> Iterator:
+    """The minors of orders 0..order of a plan's matrix, as raw values of
+    ``ring``: one ``sum_of_products`` call a row over the row's
+    coefficients and the minors they read.  ``minors[k]`` is the det/per
+    of the leading k x k block, kept until its last read."""
+    _, coefficients, lengths, last_read = plan
+    minors = {0: ring.one}
+    yield ring.one
+    step = ring.sum_of_products
+    for i, entries in enumerate(chain.from_iterable(map(repeat, coefficients, lengths))):
         pairs = []  # a loop: a comprehension costs a frame more on Python 3.11
-        for d, coeff in coefficients:
+        for d, coeff in entries:
             c = i + d
             pairs.append((coeff, minors.pop(c) if last_read[c] == i else minors[c]))
         minor = step(pairs)

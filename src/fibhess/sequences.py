@@ -13,15 +13,21 @@ A fast route is its stream, ``ROUTES[name].prefix(p, n)``: the function
 that converts its raw values to ``BivarPoly`` and the raw values of
 G(p, 1..n) from one pass, the recurrence's terms or the leading minors of
 orders 0..n-1 of one order-n matrix (whose leading k x k block is the
-order-k matrix; the stream stops before it computes order n).  Calling a
-matrix route gives G(p, n), the stream's last value, the only one it
-converts.  Calling the recurrence route gives G(p, n) by columns (below),
-with G(p, 0) = 0, and ``f_poly`` is the recurrence route.
-``cross_check_prefix(p, n)`` walks the five streams in lockstep and yields
-``cross_check(p, k)`` for k = 1..n, converting only each cell's own values
-to ``BivarPoly``; the CLI grid runs on it.  The oracle routes stay
-single-valued, and hold the order to their oracle's cap before they build
-a matrix.
+order-k matrix; the route plans only the rows those minors need, so it
+never computes order n).  Calling a matrix route gives G(p, n), the
+stream's last value, the only one it converts.  Calling the recurrence
+route gives G(p, n) by columns (below), with G(p, 0) = 0, and ``f_poly``
+is the recurrence route.  Each matrix route runs on its own in
+``ROUTES``, but after their set-ups the four are one computation: their
+plans (``evaluators._plan``) are equal.  So ``cross_check`` and
+``cross_check_prefix`` make the four plans, group the routes whose plans
+are equal, compared by value, and run the loop and the conversion once
+per group, every route in a group reading that group's ``BivarPoly``.
+``cross_check_prefix(p, n)`` walks the recurrence's stream and one
+stream per group in lockstep and yields ``cross_check(p, k)`` for
+k = 1..n, converting only each cell's own values to ``BivarPoly``; the
+CLI grid runs on it.  The oracle routes stay single-valued, and hold the
+order to their oracle's cap before they build a matrix.
 
 Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
@@ -72,7 +78,7 @@ from functools import partial
 from itertools import accumulate, islice
 from operator import add
 
-from .evaluators import check_budget, det_oracle, last_poly, leading_minors, per_oracle
+from .evaluators import _plan, _run, check_budget, det_oracle, last_poly, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GradedKernel, _wrap, check_count
 
@@ -458,18 +464,28 @@ def _on_matrix(evaluate: _Value, signed: bool) -> _Value:
     return route
 
 
-def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -> _Route:
+class _MatrixRoute(_Route):
     """The route through det (``signed``) or per of build(p, n - 1).  Its
     stream reads the leading minors of build(p, n), whose k x k block is
-    build(p, k): the minors of orders 0..n-1 are G(p, 1..n), and the stream
-    stops before it computes order n.  Its values convert by the kernel's
-    ``poly``.  The builder checks p and n."""
+    build(p, k): the minors of orders 0..n-1 are G(p, 1..n).  So its plan,
+    ``plan(p, n)``, is ``evaluators._plan`` of build(p, n)'s first n - 1
+    rows, and the stream runs ``_run`` over it and never computes order
+    n.  Its values convert by the kernel's ``poly``.  The builder checks p
+    and n."""
 
-    def prefix(p: int, n: int) -> tuple[_Poly, Iterator]:
-        ring, minors = leading_minors(build(p, n), signed)
-        return ring.poly, islice(minors, n)
+    __slots__ = ("plan",)
 
-    return _Route(prefix)
+    def __init__(self, build: Callable[[int, int], HessenbergMatrix], signed: bool) -> None:
+        def plan(p: int, n: int) -> tuple[object, tuple]:
+            return _plan(build(p, n), signed, n - 1)
+
+        super().__init__(lambda p, n: _stream(*plan(p, n)))
+        self.plan = plan
+
+
+def _stream(ring, plan: tuple) -> tuple[_Poly, Iterator]:
+    """A plan's stream: its kernel's ``poly`` and ``_run`` over it."""
+    return ring.poly, _run(ring, plan)
 
 
 # Route name -> fn(p, n) returning G(p, n); the fast routes are their
@@ -478,10 +494,10 @@ def _matrix_route(build: Callable[[int, int], HessenbergMatrix], signed: bool) -
 # name rebound here (a patched builder, a traced oracle) is used.
 ROUTES: dict[str, _Value] = {
     "recurrence": _RecurrenceRoute(_recurrence_prefix),
-    "det-w": _matrix_route(lambda p, n: build_w(p, n), signed=True),
-    "det-m": _matrix_route(lambda p, n: build_m(p, n), signed=True),
-    "per-h": _matrix_route(lambda p, n: build_h(p, n), signed=False),
-    "per-k": _matrix_route(lambda p, n: build_k(p, n), signed=False),
+    "det-w": _MatrixRoute(lambda p, n: build_w(p, n), signed=True),
+    "det-m": _MatrixRoute(lambda p, n: build_m(p, n), signed=True),
+    "per-h": _MatrixRoute(lambda p, n: build_h(p, n), signed=False),
+    "per-k": _MatrixRoute(lambda p, n: build_k(p, n), signed=False),
     "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order)), signed=True),
     "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order)), signed=False),
 }
@@ -496,28 +512,71 @@ def _report(p: int, n: int, values: dict[str, BivarPoly]) -> CrossCheckReport:
     return CrossCheckReport(p, n, values, first_mismatch is None, first_mismatch)
 
 
+def _groups(p: int, n: int) -> list[tuple[list[str], _Route, tuple | None]]:
+    """The fast routes at (p, n), grouped by the computation they share:
+    ``(names, route, planned)`` for each group, in ``_FAST_ROUTES`` order
+    of each group's first name.  A matrix route makes its plan now and
+    joins the first group whose plan equals its own, compared by value,
+    ``planned`` being that group's ``(ring, plan)``; any other route, the
+    recurrence or one patched into ``ROUTES``, is a group of its own, with
+    ``planned`` None.  ``ROUTES`` and the builders are read now, so a
+    patched one is used."""
+    groups = []
+    for name in _FAST_ROUTES:
+        route = ROUTES[name]
+        planned = route.plan(p, n) if isinstance(route, _MatrixRoute) else None
+        for names, _, other in groups:
+            if planned and other and other[1] == planned[1]:
+                names.append(name)
+                break
+        else:
+            groups.append(([name], route, planned))
+    return groups
+
+
+def _by_name(groups, shared: list) -> dict:
+    """Each fast route's name mapped to its group's entry in ``shared``,
+    in ``_FAST_ROUTES`` order."""
+    values = {}
+    for (names, _, _), value in zip(groups, shared):
+        values.update(dict.fromkeys(names, value))
+    return {name: values[name] for name in _FAST_ROUTES}
+
+
 def cross_check(p: int, n: int) -> CrossCheckReport:
     """Compare each of the four order-n matrix routes with the recurrence
-    value G(p, n+1)."""
+    value G(p, n+1).  Matrix routes with equal plans share one run of the
+    loop and one conversion: each group of ``_groups`` computes its value
+    once, and every route in it reads that ``BivarPoly``."""
     _check_args(p, n, n_min=1)
-    return _report(p, n, {name: ROUTES[name](p, n + 1) for name in _FAST_ROUTES})
+    groups = _groups(p, n + 1)
+    shared = [
+        route(p, n + 1) if planned is None else last_poly(*_stream(*planned), n)
+        for _, route, planned in groups
+    ]
+    return _report(p, n, _by_name(groups, shared))
 
 
 def cross_check_prefix(p: int, n: int) -> Iterator[CrossCheckReport]:
     """An iterator over ``cross_check(p, k)`` for k = 1..n, in order, from
-    one pass of each fast route: the four order-n matrices and the
-    recurrence up to G(p, n+1).  The five streams are walked in lockstep,
-    and a stream that ends before the others raises ValueError.  Each
-    report converts only its own five values, each by its route's
-    ``poly``, so memory stays O(p * terms) per route whatever n is."""
+    one pass of each group of ``_groups``: the recurrence up to G(p, n+1),
+    and ``_run`` once over each distinct plan of the four order-n matrices.
+    The streams are walked in lockstep, and a stream that ends before the
+    others raises ValueError.  Each report converts only its own values,
+    each group's once by its kernel's ``poly`` (the recurrence's by its
+    own), so memory stays O(p * terms) per stream whatever n is."""
     _check_args(p, n, n_min=1)
-    streams = [ROUTES[name].prefix(p, n + 1) for name in _FAST_ROUTES]
-    return _reports(p, streams)
+    groups = _groups(p, n + 1)
+    streams = [
+        route.prefix(p, n + 1) if planned is None else _stream(*planned)
+        for _, route, planned in groups
+    ]
+    return _reports(p, groups, streams)
 
 
-def _reports(p: int, streams: list[tuple[_Poly, Iterator]]) -> Iterator[CrossCheckReport]:
+def _reports(p: int, groups, streams: list[tuple[_Poly, Iterator]]) -> Iterator[CrossCheckReport]:
     # from G(p, 2); strict, so a stream that runs short fails the grid
     cells = islice(zip(*(values for _, values in streams), strict=True), 1, None)
     for k, raw in enumerate(cells, 1):
-        values = {name: poly(v, k) for name, (poly, _), v in zip(_FAST_ROUTES, streams, raw)}
-        yield _report(p, k, values)
+        shared = [poly(v, k) for (poly, _), v in zip(streams, raw)]
+        yield _report(p, k, _by_name(groups, shared))

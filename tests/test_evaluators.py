@@ -156,6 +156,54 @@ def test_triangular_case_is_diagonal_product():
         assert per_hessenberg(a) == prod
 
 
+@pytest.mark.parametrize("p", [1, 2, 5, 300])
+def test_the_four_paper_matrices_have_one_plan(p):
+    # det negates each superdiagonal scalar, so every builder's band
+    # coefficient is y and its diagonal coefficient x: after their set-ups
+    # det(W), det(M), per(H) and per(K) are one computation, over three
+    # runs of rows, whatever n is
+    for n in (1, 2, p + 1, p + 2, 2 * p + 3):
+        routes = ((build_w, True), (build_m, True), (build_h, False), (build_k, False))
+        plans = [evaluators._plan(build(p, n), signed, n)[1] for build, signed in routes]
+        assert all(plan == plans[0] for plan in plans), (p, n)
+        assert len(plans[0][1]) <= 3, (p, n)
+
+
+def test_a_plan_carries_its_kernels_weight():
+    # x*y at offset -2 makes y of weight 2, and y there weight 3: the rows'
+    # coefficients and last readers are equal, but the values convert to
+    # different polynomials, so the plans must differ
+    s = BivarPoly.constant(1)
+    ring_a, plan_a = evaluators._plan(
+        HessenbergMatrix([[X, s, ZERO], [ZERO, X, s], [X * Y, ZERO, X]]), True, 3
+    )
+    ring_b, plan_b = evaluators._plan(
+        HessenbergMatrix([[X, s, ZERO], [ZERO, X, s], [Y, ZERO, X]]), True, 3
+    )
+    assert (ring_a.w, ring_b.w) == (2, 3)
+    assert plan_a[1:] == plan_b[1:] and plan_a != plan_b
+
+
+def test_a_plan_names_each_minors_last_reader():
+    # minor c is read by every row with a nonzero in column c on or below
+    # the diagonal and freed at the last of them; a minor that no planned
+    # row reads, minor `order` among them, is never kept: every row of
+    # tests/matrix_shapes.py at p 1-4 and each order to 7, planned whole
+    # and short of its last row
+    for name, shape in SHAPES.items():
+        for p in range(1, 5):
+            for n in range(shape.n_min, 8):
+                a = shape.make(p, n)
+                rows = a.rows()
+                for order in (n, n - 1):
+                    last_read = evaluators._plan(a, True, order)[1][3]
+                    want = [
+                        max((i for i in range(c, order) if not rows[i][c].is_zero()), default=-1)
+                        for c in range(order + 1)
+                    ]
+                    assert last_read == want, (name, p, n, order)
+
+
 def test_recursion_keeps_only_the_minors_it_will_read():
     # a banded matrix needs only the last p + 1 minors between rows;
     # keeping all n + 1 peaks at about 15 MiB for W and H, and keeping a

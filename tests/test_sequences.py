@@ -583,6 +583,85 @@ def test_a_stream_that_runs_short_fails_the_grid(monkeypatch):
         list(sequences.cross_check_prefix(2, 10))
 
 
+# each matrix route's builder, as ``sequences`` looks it up
+BUILDER_NAMES = {"det-w": "build_w", "det-m": "build_m", "per-h": "build_h", "per-k": "build_k"}
+
+
+@pytest.mark.parametrize("route", BUILDER_NAMES)
+@pytest.mark.parametrize("p, k", [(1, 1), (1, 6), (3, 4), (3, 9)])
+def test_a_builder_fault_at_one_row_gives_its_route_a_plan_of_its_own(monkeypatch, route, p, k):
+    # the four matrix routes share one loop only while their plans are
+    # equal: a builder whose row k (1-based) is doubled doubles every
+    # minor from order k on, so its route must split off at cell k of the
+    # grid and in one cell, while the other three still agree
+    name, n = BUILDER_NAMES[route], 12
+    build = getattr(sequences, name)
+    monkeypatch.setattr(sequences, name, lambda p, n: build(p, n).scale_row(k - 1, 2))
+    plans = {other: sequences.ROUTES[other].plan(p, n + 1)[1] for other in BUILDER_NAMES}
+    others = [plan for other, plan in plans.items() if other != route]
+    assert all(plan == others[0] for plan in others) and plans[route] != others[0]
+    cells = list(sequences.cross_check_prefix(p, n))
+    assert all(cell.all_equal for cell in cells[: k - 1])
+    assert cells[k - 1].first_mismatch == ("recurrence", route)
+    r = cross_check(p, n)
+    assert r.first_mismatch == ("recurrence", route)
+    for cell in (cells[k - 1], r):
+        values = cell.values
+        assert [other for other, v in values.items() if v != values["recurrence"]] == [route]
+
+
+def coefficient_wrong_at(scalar):
+    """``GradedKernel.coefficient`` with one fault: at the scalar
+    ``scalar`` only, each real part is doubled."""
+    coefficient = GradedKernel.coefficient
+
+    def faulty(f, s):
+        got = coefficient(f, s)
+        return [(j, 2 * re, im) for j, re, im in got] if s == scalar else got
+
+    return staticmethod(faulty)
+
+
+@pytest.mark.parametrize("p", [1, 5])
+def test_a_coefficient_fault_at_one_scalar_splits_the_matrix_routes(monkeypatch, p):
+    # at odd p = 1, 5 the band's window product is -i for det(W) (its
+    # superdiagonal i, negated) and for per(H) (its superdiagonal -i), and
+    # 1 for det(M) and per(K): a coefficient wrong at -i alone must split
+    # det-w and per-h from det-m and per-k, not hide in a shared loop
+    monkeypatch.setattr(GradedKernel, "coefficient", coefficient_wrong_at((0, -1)))
+    n = 4 * p + 8
+    first = next(cell for cell in sequences.cross_check_prefix(p, n) if not cell.all_equal)
+    for r in (cross_check(p, n), first):
+        v = r.values
+        assert r.first_mismatch == ("recurrence", "det-w")
+        assert v["det-w"] == v["per-h"] != v["det-m"] == v["per-k"] == v["recurrence"]
+
+
+def test_cross_check_runs_one_matrix_loop(monkeypatch):
+    # the four paper matrices of one (p, n) have equal plans, so cross_check
+    # and the grid run the loop once, one sum_of_products a row, where four
+    # loops would make four times the calls; a route called on its own
+    # still runs its own loop, over the rows its minors need
+    calls = []
+    step = GradedKernel.sum_of_products
+
+    def counted(pairs):
+        calls.append(1)
+        return step(pairs)
+
+    monkeypatch.setattr(GradedKernel, "sum_of_products", staticmethod(counted))
+    for p, n in ((1, 40), (5, 80), (300, 700)):
+        calls.clear()
+        assert cross_check(p, n).all_equal
+        assert len(calls) == n, (p, n, len(calls))
+        calls.clear()
+        assert all(cell.all_equal for cell in sequences.cross_check_prefix(p, n))
+        assert len(calls) == n, (p, n, len(calls))
+        calls.clear()
+        sequences.ROUTES["det-m"](p, n)
+        assert len(calls) == n - 1, (p, n, len(calls))
+
+
 # --- closed form ----------------------------------------------------------------
 #
 # G(p, n) = sum_k C(n-1-pk, k) x^(n-1-(p+1)k) y^k, in plain ints via
