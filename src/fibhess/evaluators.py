@@ -25,9 +25,11 @@ one loop of every caller.  The kernel is picked first: ``_plan`` passes
 at offset d (column minus row) with its degree 1 - d.  A matrix keys each
 row's entries by that offset, so equal rows can be one map: a builder's
 matrix lists at most three maps, whatever n is, and a map is taken only
-where it is not the row above's.  ``_plan`` then makes one pass over the
-rows for the superdiagonal scalars, each minor's last reader, the rows
-that repeat the row above and each other row's coefficients.  Each
+where it is not the row above's, which is also where a run of one map
+starts.  ``_plan`` then goes down the rows for the superdiagonal
+scalars, each minor's last reader, the rows that repeat the row above
+and each other row's coefficients: it walks the rows that cannot repeat
+one by one, and fills the rest of each run of one map in one step.  Each
 distinct map's scalar, deepest offset and offsets on or below the
 diagonal are read once, and a row looks its map up only where it is not
 the row above's map; each minor's last reader is kept in a list indexed
@@ -48,11 +50,16 @@ coefficients too, and reuses them.  The set-up decides this at O(1)
 a row: row i repeats row i - 1 when it is the same map (so it has the
 same entries at the same offsets, and the same superdiagonal scalar),
 and every factor its windows would swap, from a_{i-1+d,i+d} for its
-deepest offset d to a_{i-1,i}, lies in one run of equal scalars.  Any
+deepest offset d to a_{i-1,i}, lies in one run of equal scalars.  Only
+a new map can start a run of equal scalars, so once a row repeats the
+row above, so does every row below it in its run of one map: the set-up
+adds them in one step, to the run's length, to the superdiagonal and to
+each minor's last reader, one slice for each offset the map reads.  Any
 other row walks its windows out from the diagonal, one factor at a time,
 and makes its coefficients as above.  So a paper matrix walks its band's
 p factors and makes its coefficients once for each kind of row, three
-times at any n, not once a row, and its plan lists three runs of rows.
+times at any n, not once a row; its set-up walks three rows, not n, and
+its plan lists three runs of rows.
 
 A plan holds everything the loop reads: the kernel's type and w, each
 run's coefficients and length, and each minor's last reader.  Plans
@@ -101,7 +108,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .matrices import HessenbergMatrix
 from .ring import BivarPoly, Frozen, ZERO, check_count, kernel_for
@@ -148,20 +155,24 @@ def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]
     lengths[r] its number of rows.  last_read[c] is the last row to read
     minor c, -1 where no row reads it.  The loop reads nothing else, so
     two plans that are equal, compared by value, give equal minors,
-    converted alike."""
+    converted alike.  Past one scan for the distinct maps, the set-up's
+    Python-level work is the runs and the rows that walk their windows:
+    it fills the rest of each run of one map in one step."""
     rows = a._rows
-    # each distinct row map once: rows that share a map are mostly runs,
-    # so a map is taken only where the row above has another
-    distinct, prev = {}, None
-    for row in rows:
+    # each distinct row map once, and the row where each run of one map
+    # starts: rows that share a map are mostly runs, so a map is taken only
+    # where the row above has another
+    distinct, starts, prev = {}, [], None
+    for i, row in enumerate(rows):
         if row is not prev:
             distinct[id(row)] = prev = row
+            starts.append(i)
     ring = kernel_for((1 - d, e) for row in distinct.values() for d, e in row.items())
     # each distinct map's scalar a[k, k+1], negated for det so that a
     # product of i - c of them carries the sign (-1)^(i-c), its deepest
     # offset (its last key, as a map is stored in reading order) and its
-    # offsets d <= 0; a row looks its map up only where the map differs
-    # from the row above's
+    # offsets d <= 0, shallowest first; a row looks its map up only where
+    # the map differs from the row above's
     maps = {
         key: (
             ring.scalar(row.get(1, ZERO), signed),
@@ -172,20 +183,32 @@ def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]
     }
     coefficient, times = ring.coefficient, ring.times
     superdiag, coefficients, lengths, last_read = [], [], [], [-1] * (order + 1)
-    start, prev = 0, None  # the run superdiag[i - 1] is in starts at superdiag[start]
-    for i, row in enumerate(rows[:order]):
+    start, prev = 0, None  # superdiag[i - 1]'s run of equal scalars begins at superdiag[start]
+    ends = iter(starts[1:] + [len(rows)])  # where each run of one map ends
+    i, below = -1, iter(rows[:order])  # row i, then the rows below it
+    for row in below:
+        i += 1
         # row i repeats row i - 1 (the module docstring's rule) when it is
         # the same map, and superdiag[i - 1 + deepest] .. superdiag[i - 1],
         # every factor its windows swap, lie in one run of equal scalars;
-        # the map above has this scalar, so only a new map ends a run
+        # the map above has this scalar, so only a new map ends a run, and
+        # rows i + 1 .. end - 1 repeat too: the rest of the map's run is
+        # filled in one step and skipped.  Minor c's last reader is the
+        # largest row to read it, so the deepest offset's slice comes last
         if row is prev and start <= i - 1 + deepest:
-            lengths[-1] += 1
+            end = min(end, order)
+            lengths[-1] += end - i
+            superdiag.extend(repeat(scalar, end - i))
+            for d in reads:
+                last_read[i + d : end + d] = range(i, end)
+            next(islice(below, end - i - 1, end - i - 1), None)
+            i = end - 1
         else:
             if row is not prev:
                 scalar, deepest, reads = maps[id(row)]
                 if i and scalar != superdiag[-1]:
                     start = i
-                prev = row
+                prev, end = row, next(ends)
             # (offset, the entry times its product) for each entry on or
             # below the diagonal; row i as stored: its superdiagonal entry
             # first, which the rows below read through superdiag, then the
@@ -202,9 +225,9 @@ def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]
                 entries.append((d, coefficient(entry, prod)))
             coefficients.append(entries)
             lengths.append(1)
-        superdiag.append(scalar)
-        for d in reads:
-            last_read[i + d] = i
+            superdiag.append(scalar)
+            for d in reads:
+                last_read[i + d] = i
     return ring, ((type(ring), getattr(ring, "w", None)), coefficients, lengths, last_read)
 
 

@@ -18,9 +18,14 @@ from fibhess.evaluators import (
 )
 from fibhess.matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from fibhess import evaluators, ring, sequences
-from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt
+from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt, kernel_for
 from fibhess.sequences import f_poly, family_value, get_family
-from matrix_shapes import SHAPES, far_entry
+from matrix_shapes import (
+    SHAPES,
+    far_entry,
+    three_constant_superdiagonal,
+    two_constant_superdiagonal,
+)
 
 BUILDERS = [build_w, build_m, build_h, build_k]
 
@@ -202,6 +207,99 @@ def test_a_plan_names_each_minors_last_reader():
                         for c in range(order + 1)
                     ]
                     assert last_read == want, (name, p, n, order)
+
+
+def per_row_plan(a, signed, order):
+    """The plan ``evaluators._plan`` makes, by a pass over every row: a
+    row repeats the row above when it is the same map and every factor
+    its windows swap lies in one run of equal superdiagonal scalars, and
+    any other row walks its windows; each row writes its minors' last
+    reader.  ``_plan`` walks only the rows that cannot repeat and fills
+    the rest of each run in one step, and must give this plan."""
+    rows = a._rows
+    distinct = {id(row): row for row in rows}
+    ring = kernel_for((1 - d, e) for row in distinct.values() for d, e in row.items())
+    superdiag, coefficients, lengths, last_read = [], [], [], [-1] * (order + 1)
+    start, prev = 0, None
+    for i, row in enumerate(rows[:order]):
+        if row is prev and start <= i - 1 + deepest:
+            lengths[-1] += 1
+        else:
+            if row is not prev:
+                scalar = ring.scalar(row.get(1, ZERO), signed)
+                deepest = next(reversed(row), 0)
+                if i and scalar != superdiag[-1]:
+                    start = i
+                prev = row
+            entries = []
+            prod, k = ring.unit, i
+            for d, entry in row.items():
+                if d > 0:
+                    continue
+                while k > i + d:
+                    k -= 1
+                    prod = ring.times(prod, superdiag[k])
+                entries.append((d, ring.coefficient(entry, prod)))
+            coefficients.append(entries)
+            lengths.append(1)
+        superdiag.append(scalar)
+        for d in row:
+            if d <= 0:
+                last_read[i + d] = i
+    return (type(ring), getattr(ring, "w", None)), coefficients, lengths, last_read
+
+
+def assert_plans_per_row(a, orders, label):
+    for signed in (True, False):
+        for order in orders:
+            want = per_row_plan(a, signed, order)
+            assert evaluators._plan(a, signed, order)[1] == want, (label, signed, order)
+
+
+def test_the_set_up_gives_the_per_row_plan_on_every_shape():
+    # every row of tests/matrix_shapes.py at p 1-4, each order to n
+    for name, shape in SHAPES.items():
+        for p in range(1, 5):
+            for n in range(shape.n_min, 8):
+                assert_plans_per_row(shape.make(p, n), range(n + 1), (name, p, n))
+
+
+@pytest.mark.parametrize("make", [three_constant_superdiagonal, two_constant_superdiagonal, far_entry])
+def test_the_set_up_gives_the_per_row_plan_past_a_scalar_change(make):
+    # three_constant_superdiagonal's last run has windows that cross a[7, 8]
+    # up to row p + 8: those rows walk, and the rows past them repeat.  A
+    # plan of order k reads the first k rows, which an order-44 matrix
+    # shares with the order-(k + 1) matrix but for the last row's map:
+    # every order of the order-44 matrix, and the last two of each other
+    for p in range(1, 6):
+        for n in range(1, 45):
+            orders = range(n + 1) if n == 44 else (0, n - 1, n)
+            assert_plans_per_row(make(p, n), orders, (make.__name__, p, n))
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p", [1, 2, 5, 30, 300])
+def test_the_set_up_gives_the_per_row_plan_on_the_builders(builder, p):
+    # each builder as built, as the same rows in maps of their own, and
+    # with one row scaled in its head, its body and its last run
+    i = GaussianInt(0, 1)
+    for n in sorted({1, 2, p, p + 1, p + 2, 2 * p + 3, 700}):
+        a = builder(p, n)
+        orders = (0, n - 1, n)
+        assert_plans_per_row(a, orders, (p, n))
+        copied = HessenbergMatrix._from_nonzeros([dict(row) for row in a._rows])
+        assert_plans_per_row(copied, orders, ("copied", p, n))
+        for row in {p // 2, (p + n - 2) // 2, n - 1}:  # head, body, last
+            if row < n:
+                assert_plans_per_row(a.scale_row(row, 2), orders, ("scaled by 2", row, p, n))
+                assert_plans_per_row(a.scale_row(row, i), orders, ("scaled by i", row, p, n))
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_the_set_up_gives_the_per_row_plan_on_dense_builders(builder, p):
+    for n in (1, 2, p, p + 1, p + 2, 2 * p + 3, 40):
+        assert_plans_per_row(HessenbergMatrix(builder(p, n).rows()), range(n + 1), (p, n))
 
 
 def test_recursion_keeps_only_the_minors_it_will_read():
