@@ -11,9 +11,16 @@ The ``gen`` methods and their dispatch come from ``sequences.ROUTES``.
 one pass of the recurrence and one of each distinct matrix plan up to
 --n-max, and prints each cell as it comes, so a P x N grid costs about
 what P cells at n = N cost, and no row is held in memory.  With
-``--format json`` each distinct value of a cell is rendered and encoded
-once, from its term map: when the report finds the five routes equal, the
-recurrence's term list is the text of all five.
+``--format json`` each distinct value of a cell is rendered once, from its
+term map: when the report finds the five routes equal, the recurrence's
+term list is the text of all five, and in a failing cell the routes that
+share one value share its text.
+
+Every command writes its JSON records itself, as the text ``json.dumps``
+gives them in its default form, one record per line.  A record holds only
+ints, decimal strings, true, false, null and names that are plain ASCII
+words (route and family names), so nothing in it needs escaping, and the
+CLI never imports ``json``.
 
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage
 error, 3 brute-force oracle budget exceeded.  Each command checks its
@@ -32,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import signal
 import sys
 from collections.abc import Callable
@@ -78,17 +84,24 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-def poly_terms_json(poly: BivarPoly) -> list[dict[str, object]]:
-    return [
-        {"xexp": xe, "yexp": ye, "re": str(re), "im": str(im)}
+def _poly_terms_json(poly: BivarPoly) -> str:
+    """The JSON text of ``poly``'s term list, in ``json.dumps``'s default
+    form, written straight from ``term_parts()``: every value in it is an
+    int or a decimal string, so none needs escaping.  Like ``str()``, it
+    needs the int digit limit lifted for a coefficient of more than 4300
+    digits, as ``main`` does."""
+    terms = ", ".join([
+        f'{{"xexp": {xe}, "yexp": {ye}, "re": "{re}", "im": "{im}"}}'
         for xe, ye, re, im in poly.term_parts()
-    ]
+    ])
+    return f"[{terms}]"
 
 
-def _emit_poly(poly: BivarPoly, fmt: str, record: dict[str, object]) -> None:
+def _emit_poly(poly: BivarPoly, fmt: str, head: str) -> None:
+    """Print ``poly`` as text, or as the JSON record of the fields in
+    ``head`` followed by its terms."""
     if fmt == "json":
-        record["poly"] = poly_terms_json(poly)
-        print(json.dumps(record))
+        print(f'{{{head}, "poly": {_poly_terms_json(poly)}}}')
     else:
         print(poly)
 
@@ -100,7 +113,8 @@ def _cmd_gen(args) -> int:
     else:  # the other routes evaluate the order n-1 matrix
         _require_at_least(f"--n with --method {args.method}", args.n, 1)
     poly = ROUTES[args.method](args.p, args.n)
-    _emit_poly(poly, args.format, {"p": args.p, "n": args.n, "method": args.method})
+    # a method is a ROUTES key, a plain ASCII word, so quoting it is its JSON text
+    _emit_poly(poly, args.format, f'"p": {args.p}, "n": {args.n}, "method": "{args.method}"')
     return EXIT_OK
 
 
@@ -115,39 +129,33 @@ def _cmd_family(args) -> int:
         raise UsageError(f"family {spec.name!r} needs --p")
     _require_at_least("--n", args.n, 0)
     poly = family_value(spec, args.n, p=args.p)
-    _emit_poly(
-        poly,
-        args.format,
-        {
-            "family": spec.name,
-            "p": spec.p if spec.p is not None else args.p,
-            "n": args.n,
-        },
-    )
+    p = spec.p if spec.p is not None else args.p
+    # a name that get_family accepts is a FAMILIES key, a plain ASCII word
+    _emit_poly(poly, args.format, f'"family": "{spec.name}", "p": {p}, "n": {args.n}')
     return EXIT_OK
 
 
 def _report_json(report: CrossCheckReport) -> str:
     """One cell's JSON line: the text ``json.dumps`` gives for the record of
     its p, n, verdict and each route's terms.  Each distinct value is
-    rendered and encoded once: when the routes agree, the recurrence's text
-    stands for all five."""
-    values = report.values
-    if report.all_equal:
-        texts = dict.fromkeys(values, json.dumps(poly_terms_json(values["recurrence"])))
-    else:
-        texts = {route: json.dumps(poly_terms_json(poly)) for route, poly in values.items()}
-    head = json.dumps(
-        {
-            "p": report.p,
-            "n": report.n,
-            "all_equal": report.all_equal,
-            "first_mismatch": list(report.first_mismatch) if report.first_mismatch else None,
-        }
+    rendered once: when the routes agree, the recurrence's text stands for
+    all five, and in a failing cell the routes that share one value, as a
+    plan group does, share its text."""
+    texts: dict[int | None, str] = {}
+    body = []
+    for route, poly in report.values.items():
+        key = None if report.all_equal else id(poly)
+        if key not in texts:
+            texts[key] = _poly_terms_json(poly)
+        # route names are plain ASCII words, so quoting one is its JSON text
+        body.append(f'"{route}": {texts[key]}')
+    pair = report.first_mismatch
+    mismatch = f'["{pair[0]}", "{pair[1]}"]' if pair else "null"
+    verdict = "true" if report.all_equal else "false"
+    return (
+        f'{{"p": {report.p}, "n": {report.n}, "all_equal": {verdict}, '
+        f'"first_mismatch": {mismatch}, "values": {{{", ".join(body)}}}}}'
     )
-    # route names are plain ASCII words, so quoting one is its JSON text
-    body = ", ".join(f'"{route}": {text}' for route, text in texts.items())
-    return f'{head[:-1]}, "values": {{{body}}}}}'
 
 
 def _cmd_check(args) -> int:

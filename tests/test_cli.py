@@ -79,15 +79,16 @@ def terms_json_by_terms(poly):
     ids=["zero", "real", "imaginary", "mixed", "bool"],
 )
 def test_poly_terms_json_edge_cases(poly, expected):
-    assert cli.poly_terms_json(poly) == expected == terms_json_by_terms(poly)
-    # True == 1, so compare the encoded text too: exponents are JSON ints
-    assert json.dumps(cli.poly_terms_json(poly)) == json.dumps(expected)
+    assert terms_json_by_terms(poly) == expected
+    # the CLI writes the text that json.dumps gives; True == 1, so the text
+    # is what shows that exponents are written as JSON ints
+    assert cli._poly_terms_json(poly) == json.dumps(expected)
 
 
 def test_poly_terms_json_of_route_values():
     mixed = (X + Y.scale(GaussianInt(0, 1))) ** 5
     for poly in (f_poly(4, 30), sequences.ROUTES["det-w"](3, 12), mixed):
-        assert cli.poly_terms_json(poly) == terms_json_by_terms(poly)
+        assert cli._poly_terms_json(poly) == json.dumps(terms_json_by_terms(poly))
 
 
 # --- the table of exact outputs ---------------------------------------------
@@ -268,7 +269,7 @@ def test_check_json_matches_per_cell_cross_check(capsys):
                 "n": n,
                 "all_equal": report.all_equal,
                 "first_mismatch": None,
-                "values": {route: cli.poly_terms_json(v) for route, v in report.values.items()},
+                "values": {route: terms_json_by_terms(v) for route, v in report.values.items()},
             }
             expected.append(json.dumps(record))
     assert out.splitlines() == expected
@@ -287,12 +288,14 @@ def test_check_holds_no_row_of_cells(capsys):
     assert peak < 2 * 2**20
 
 
+def build_m_corrupted_from_order_6(p, n):
+    return build_m(p, n).scale_row(5, 2) if n > 5 else build_m(p, n)
+
+
 def test_check_failure_stays_in_its_cell(capsys, monkeypatch):
     # M is corrupted from order 6 on: one pass over the order-8 matrix must
     # still pass cells 1..5 and fail 6..8
-    monkeypatch.setattr(
-        sequences, "build_m", lambda p, n: build_m(p, n).scale_row(5, 2) if n > 5 else build_m(p, n)
-    )
+    monkeypatch.setattr(sequences, "build_m", build_m_corrupted_from_order_6)
     code, out, err = run(capsys, "check", "--p-max", "1", "--n-max", "8", "--format", "json")
     assert code == EXIT_CHECK_FAILED
     verdicts = [(r["n"], r["all_equal"]) for r in map(json.loads, out.splitlines())]
@@ -308,16 +311,14 @@ def test_failing_cell_json_matches_per_cell_records(capsys, monkeypatch):
     # with M corrupted from order 6 on, each line is still the record built
     # from that cell's own five values, and a differing route carries its own
     # terms rather than the recurrence's
-    monkeypatch.setattr(
-        sequences, "build_m", lambda p, n: build_m(p, n).scale_row(5, 2) if n > 5 else build_m(p, n)
-    )
+    monkeypatch.setattr(sequences, "build_m", build_m_corrupted_from_order_6)
     code, out, _ = run(capsys, "check", "--p-max", "2", "--n-max", "8", "--format", "json")
     assert code == EXIT_CHECK_FAILED
     expected = []
     for p in (1, 2):
         for n in range(1, 9):
             report = sequences.cross_check(p, n)
-            values = {route: cli.poly_terms_json(v) for route, v in report.values.items()}
+            values = {route: terms_json_by_terms(v) for route, v in report.values.items()}
             if n > 5:
                 assert report.first_mismatch == ("recurrence", "det-m")
                 assert values["det-m"] != values["recurrence"]
@@ -330,6 +331,33 @@ def test_failing_cell_json_matches_per_cell_records(capsys, monkeypatch):
             }
             expected.append(json.dumps(record))
     assert out.splitlines() == expected
+
+
+def test_a_failing_cell_renders_each_distinct_value_once(capsys, monkeypatch):
+    # with M corrupted from order 6 on, a failing cell holds three values:
+    # the recurrence's, det-m's, and the one that det-w, per-h and per-k
+    # share through their plan group; an agreeing cell renders one
+    monkeypatch.setattr(sequences, "build_m", build_m_corrupted_from_order_6)
+    rendered = []
+    write_terms, write_cell = cli._poly_terms_json, cli._report_json
+
+    def counting_terms(poly):
+        rendered.append(poly)
+        return write_terms(poly)
+
+    renders = []
+
+    def counting_cell(report):
+        before = len(rendered)
+        line = write_cell(report)
+        renders.append((report.p, report.n, len(rendered) - before))
+        return line
+
+    monkeypatch.setattr(cli, "_poly_terms_json", counting_terms)
+    monkeypatch.setattr(cli, "_report_json", counting_cell)
+    code, _, _ = run(capsys, "check", "--p-max", "2", "--n-max", "8", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert renders == [(p, n, 1 if n <= 5 else 3) for p in (1, 2) for n in range(1, 9)]
 
 
 def test_check_closed_pipe_ends_quietly():
@@ -402,13 +430,14 @@ def test_matrix_usage(capsys):
     assert run(capsys, "matrix", "--kind", "z", "--p", "1", "--order", "2")[0] == EXIT_USAGE
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+def test_cli_import_loads_no_json_dataclasses_inspect_or_typing():
     # without site, the interpreter loads only what the CLI imports; none of
-    # the standard-library modules the CLI uses imports these three
+    # the standard-library modules the CLI uses imports these four, and the
+    # CLI writes its JSON records itself
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
         "import sys, fibhess.cli;"
-        " print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        " print(sorted({'json', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
