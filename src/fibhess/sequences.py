@@ -33,23 +33,24 @@ Named specializations put c or c*x in place of x and c or c*y in place of
 y, for a Gaussian integer c (and optionally shift the index), to recover
 classical families: Fibonacci, Pell, Jacobsthal, and second-kind
 Chebyshev.  Substitution is a ring homomorphism and G(p, m) is graded, so
-a family reads G's coefficients from its closed form,
-sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, one ``math.comb`` or one
-exact binomial ratio each, and scales each coefficient once: the
-coefficient of x^(d-w*j)*y^j takes cx^(d-w*j)*cy^j.  With a variable
-seed, distinct j stay distinct monomials; with two constants, every term
-lands on 1 and they add up to one coefficient, and ``fib_p_number``
-(cx = cy = 1) is the plain sum of G's coefficients.
+the coefficient of x^(d-w*j)*y^j in G's closed form,
+sum_j C(m-1-p*j, j) * x^(m-1-(p+1)*j) * y^j, takes cx^(d-w*j)*cy^j, and
+``_closed(p, m, cx, cy)`` is the one source of a family's coefficients:
+``math.comb`` times running powers of the constants for j <= 2p, and past
+that, one exact step per coefficient that folds the binomial ratio and
+cy/cx^w into small factors, with no product of two big ints.  With a
+variable seed, distinct j stay distinct monomials; with two constants,
+every term lands on 1 and they add up to one coefficient, one at a time,
+and ``fib_p_number`` (cx = cy = 1) is the plain sum of G's coefficients.
 
 At two constants, G(p, m) is also a scalar linear recurrence of order
 p + 1, so it is the t^p coefficient of t^(m-1+p) mod
 t^(p+1) - cx*t^p - cy, O(log m) squarings of p + 1 Gaussian ``(re, im)``
 pairs.  One rule, ``_power_wins``, takes that power only where its
 products number at most m, and so never where m <= p + 1; elsewhere the
-folded closed form, summed, serves.  ``_at_constants`` is the one place
+scaled closed form, summed, serves.  ``_at_constants`` is the one place
 that rule is applied: a family with two constants and ``fib_p_number``
-both take G from it, and a family with a variable seed folds the closed
-form.
+both take G from it, and a family with a variable seed takes ``_closed``.
 
 G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1,
 so its raw graded value is the list of its coefficients by y-degree j, as
@@ -75,7 +76,7 @@ import math
 from collections import deque
 from collections.abc import Callable, Iterator
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import add
 
 from .evaluators import _plan, _run, check_budget, det_oracle, last_poly, per_oracle
@@ -194,86 +195,108 @@ def _power(p: int, m: int, cx, cy) -> tuple[int, int]:
 
 def _at_constants(p: int, m: int, cx, cy) -> tuple[int, int]:
     """G(p, m) at x = cx and y = cy, Gaussian ``(re, im)`` pairs, as a pair:
-    ``_power`` where ``_power_wins``, else the sum of the closed form's
-    terms, each scaled by ``_fold``.  The arguments are not checked."""
+    ``_power`` where ``_power_wins``, else the sum of ``_scaled``'s terms,
+    added up one coefficient at a time, so only the term in hand and the
+    running sum are held.  The arguments are not checked."""
     if _power_wins(p, m):
         return _power(p, m, cx, cy)
-    re, im = _fold(_closed(p, m), m - 1, p + 1, cx, cy)
-    return sum(re), sum(im)
+    re = im = 0
+    for r, i in _scaled(p, m, cx, cy):
+        re, im = re + r, im + i
+    return re, im
 
 
-def _closed(p: int, n: int):
+def _closed(p: int, n: int, cx=(1, 0), cy=(1, 0)):
     """G(p, n)'s raw graded value from its closed form,
-    G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints
-    (no coefficients for n < 1).  With N = n-1-p*j, coefficients
-    j <= 2p are ``math.comb(N, j)``, and each one past them follows from
-    the last by one exact ratio:
-    C(N-p, j+1) = C(N, j) * perm(N-j, p+1) / ((j+1) * perm(N, p)).
-    The rule is measured (2-vCPU Xeon, Python 3.11.7, n = 3000): a comb
-    costs about j factors and a ratio two perms of p factors.  At p = 1 to
-    40 the comb was the cheaper at each j <= 2p measured (at j = 2p, 0.13
-    against 0.37 us at p = 1, 0.59 against 0.84 us at p = 10) and about
-    even at j = 3p.  So a large p with few coefficients, such as
-    (1000, 30000), makes no perm of a thousand factors, and the ratio
-    keeps the many coefficients of a small p cheap: one comb per
-    coefficient took 20.2 s at (1, 20001).  The combs run in a loop of
-    their own before the ratio's, so a ratio step tests no rule.  N, which
-    falls by p each step, and the last binomial are carried in locals.
-    The two loops make (n-1) // (p+1) steps in all, so a p far past n
-    costs nothing.  The arguments are not checked."""
+    G(p, n) = sum_j C(n-1-p*j, j) * x^(n-1-(p+1)*j) * y^j, in plain ints,
+    with cx*x put in for x and cy*y for y, cx and cy Gaussian ``(re, im)``
+    pairs: with d = n - 1 and w = p + 1, coefficient j is
+    f(j) = C(d-p*j, j) * cx^(d-w*j) * cy^j, for j = 0..count, count = d // w
+    (none for n < 1).  With real constants, the defaults among them, the
+    value's ``im`` is ``[]``.  It lists ``_scaled``'s terms in order of j.
+
+    Past the comb region below, each term follows from the one before in
+    one exact step, N = d - p*j being the binomial's top:
+    f(j+1) = f(j) * perm(N-j, p+1) * cy * conj(cx^w)
+    // ((j+1) * perm(N, p) * |cx^w|^2), as f(j+1)/f(j) is the binomial ratio
+    C(N-p, j+1)/C(N, j) times cy/cx^w.  cy * conj(cx^w) and |cx^w|^2 are
+    made once, over their common divisor, and the small factors are
+    multiplied first, so a step multiplies each big part by small ints and
+    divides by one: no step multiplies two big ints.  Each part's floor
+    division is exact, since f(j+1) times the divisor is f(j) times the
+    Gaussian numerator.
+
+    The comb region, j <= J = min(count, 2p), takes ``math.comb`` and
+    scales by running powers, multiplication only: C(N, j) * cy^j for each
+    j, then cx^(d-w*J) times cx^w at each step down from J.  The rule is
+    measured (2-vCPU Xeon, Python 3.11.7, n = 3000): a comb costs about j
+    factors and a ratio two perms of p factors.  At p = 1 to 40 the comb
+    was the cheaper at each j <= 2p measured (at j = 2p, 0.13 against
+    0.37 us at p = 1, 0.59 against 0.84 us at p = 10) and about even at
+    j = 3p.  So a large p with few coefficients, such as (1000, 30000),
+    makes no perm of a thousand factors and divides by no power of cx: the
+    ratio's division taken through this region made ``pell-bivariate-p``
+    at (1000, 30000) take 3.1 ms against 0.7-1.3.  Past it, the ratio keeps
+    the many coefficients of a small p cheap: one comb per coefficient
+    took 20.2 s at (1, 20001).
+
+    cx = 0 leaves only the pure-y term j = d/w, whose binomial C(j, j) is
+    1: it is cy^j where w divides d, every other term is 0, and nothing is
+    divided by |cx^w|^2 = 0.  cx^w is taken only past one coefficient, and
+    then w <= d, so a p far past d raises cx to no power beyond cx^d.  The
+    arguments are not checked."""
+    terms = list(_scaled(p, n, cx, cy))
+    rise = max((n - 1) // (p + 1) - 2 * p, 0) + 1  # terms J..count, then J-1..0
+    terms = terms[: rise - 1 : -1] + terms[:rise]
+    return [r for r, _ in terms], ([i for _, i in terms] if cx[1] or cy[1] else [])
+
+
+def _scaled(p: int, n: int, cx, cy) -> Iterator[tuple[int, int]]:
+    """Yield ``_closed``'s terms f(j) as ``(re, im)`` pairs, computed as
+    its docstring says, one at a time: f(J), then the ratio's f(J+1) ..
+    f(count) up, then the comb region's f(J-1) .. f(0) down; none for
+    n < 1.  It holds the term in hand, cx's running power and the comb
+    region's J + 1 small factors.  The arguments are not checked."""
     if n < 1:
-        return [], []
-    count, top, coeffs = (n - 1) // (p + 1), n - 1, [1]
-    for j in range(1, min(count, 2 * p) + 1):
-        top -= p
-        coeffs.append(math.comb(top, j))
-    coeff = coeffs[-1]
-    for j in range(len(coeffs) - 1, count):
-        coeff = coeff * math.perm(top - j, p + 1) // ((j + 1) * math.perm(top, p))
-        coeffs.append(coeff)
-        top -= p
-    return coeffs, []
+        return
+    d, w, count = n - 1, p + 1, (n - 1) // (p + 1)
+    last = min(count, 2 * p)
+    if not any(cx):
+        pure = _gauss_pow(cy, count) if d == w * count else (0, 0)
+        yield from chain(repeat((0, 0), count - last), [pure], repeat((0, 0), last))
+        return
+    (xr, xi), (sr, si) = _gauss_pow(cx, d - w * last), _gauss_pow(cx, w if count else 0)
+    (cr, ci), yr, yi = cy, 1, 0
+    small = []  # C(d - p*j, j) * cy^j for j <= J
+    for j in range(last + 1):
+        c = math.comb(d - p * j, j)
+        small.append((c * yr, c * yi))
+        yr, yi = yr * cr - yi * ci, yr * ci + yi * cr
+    yr, yi = small[last]
+    re, im = xr * yr - xi * yi, xr * yi + xi * yr
+    yield re, im
+    # cy / cx^w as cy * conj(cx^w) / |cx^w|^2, over their common divisor
+    factor = cr * sr + ci * si, ci * sr - cr * si, sr * sr + si * si
+    kr, ki, norm = (part // math.gcd(*factor) for part in factor)
+    for j, top in zip(range(last, count), range(d - p * last, 0, -p)):
+        num = math.perm(top - j, w)
+        a, b, den = num * kr, num * ki, (j + 1) * math.perm(top, p) * norm
+        re, im = (re * a - im * b) // den, (re * b + im * a) // den
+        yield re, im
+    for yr, yi in reversed(small[:last]):  # j = J-1 .. 0
+        xr, xi = xr * sr - xi * si, xr * si + xi * sr
+        yield xr * yr - xi * yi, xr * yi + xi * yr
 
 
 def _gauss_pow(c, k: int) -> tuple[int, int]:
-    """c^k for a Gaussian ``(re, im)`` pair c and k >= 0, by
-    square-and-multiply in plain ints, so 0^0 = 1."""
-    (br, bi), rr, ri = c, 1, 0
-    while k:
-        if k & 1:
-            rr, ri = rr * br - ri * bi, rr * bi + ri * br
-        k >>= 1
-        if k:
-            br, bi = br * br - bi * bi, 2 * br * bi
-    return rr, ri
-
-
-def _fold(g, d: int, w: int, cx, cy):
-    """G's graded value ``g`` of degree d, with its coefficient c_j of
-    x^(d - w*j)*y^j multiplied by cx^(d - w*j)*cy^j, as a graded value with
-    both parts.  G's coefficients are real; the scalars cx and cy are
-    Gaussian ``(re, im)`` pairs, so 0^0 = 1.  The powers cx^(d - w*j) are
-    listed from the last j down, by running powers of cx^w, and cy^j is
-    carried up beside the coefficients; each Gaussian product is written
-    out in plain ints, with no call per product."""
-    coeffs = g[0]
-    if not coeffs:
-        return g
-    last = len(coeffs) - 1
-    # cx^w is read only past one coefficient, and then w <= d: a p far past
-    # d raises cx to no power beyond cx^d
-    (xr, xi), (sr, si) = _gauss_pow(cx, d - w * last), _gauss_pow(cx, w if last else 0)
-    x_powers = [(xr, xi)]  # cx^(d - w*j), from the last j down
-    for _ in range(last):
-        xr, xi = xr * sr - xi * si, xr * si + xi * sr
-        x_powers.append((xr, xi))
-    (cr, ci), yr, yi = cy, 1, 0  # cy and its running power cy^j
-    re, im = [], []
-    for c, (xr, xi) in zip(coeffs, reversed(x_powers)):
-        re.append(c * (xr * yr - xi * yi))
-        im.append(c * (xr * yi + xi * yr))
-        yr, yi = yr * cr - yi * ci, yr * ci + yi * cr
-    return re, im
+    """c^k for a Gaussian ``(re, im)`` pair c and k >= 0, in plain ints, so
+    0^0 = 1: the square of c^(k // 2), times c for an odd k, so each step
+    squares the big part and multiplies it by c alone."""
+    if not k:
+        return 1, 0
+    hr, hi = _gauss_pow(c, k >> 1)
+    hr, hi = hr * hr - hi * hi, 2 * hr * hi
+    return (hr * c[0] - hi * c[1], hr * c[1] + hi * c[0]) if k & 1 else (hr, hi)
 
 
 def f_poly(p: int, n: int) -> BivarPoly:
@@ -330,9 +353,6 @@ class FamilySpec(Frozen):
         super().__init__(name, xsub, ysub, p, index_offset)
 
 
-_TWO_X = X.scale(2)
-_TWO_Y = Y.scale(2)
-
 FAMILIES: dict[str, FamilySpec] = {
     spec.name: spec
     for spec in (
@@ -341,15 +361,15 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec("fibonacci-poly", X, ONE, 1),
         FamilySpec("fibonacci-p-numbers", ONE, ONE, None),
         FamilySpec("fibonacci-numbers", ONE, ONE, 1),
-        FamilySpec("pell-bivariate-p", _TWO_X, Y, None),
-        FamilySpec("pell-bivariate", _TWO_X, Y, 1),
-        FamilySpec("pell-p-poly", _TWO_X, ONE, None),
-        FamilySpec("pell-poly", _TWO_X, ONE, 1),
+        FamilySpec("pell-bivariate-p", X.scale(2), Y, None),
+        FamilySpec("pell-bivariate", X.scale(2), Y, 1),
+        FamilySpec("pell-p-poly", X.scale(2), ONE, None),
+        FamilySpec("pell-poly", X.scale(2), ONE, 1),
         FamilySpec("pell-numbers", BivarPoly.constant(2), ONE, 1),
-        FamilySpec("chebyshev-U", _TWO_X, -ONE, 1, index_offset=1),
-        FamilySpec("jacobsthal-bivariate-p", X, _TWO_Y, None),
-        FamilySpec("jacobsthal-bivariate", X, _TWO_Y, 1),
-        FamilySpec("jacobsthal-poly", ONE, _TWO_Y, 1),
+        FamilySpec("chebyshev-U", X.scale(2), -ONE, 1, index_offset=1),
+        FamilySpec("jacobsthal-bivariate-p", X, Y.scale(2), None),
+        FamilySpec("jacobsthal-bivariate", X, Y.scale(2), 1),
+        FamilySpec("jacobsthal-poly", ONE, Y.scale(2), 1),
         FamilySpec("jacobsthal-numbers", ONE, BivarPoly.constant(2), 1),
     )
 }
@@ -373,13 +393,12 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
     m = n + spec.index_offset
     xe, *cx = GradedKernel.seed(spec.xsub, "x")
     ye, *cy = GradedKernel.seed(spec.ysub, "y")
-    w = eff_p + 1
     if not xe | ye:
         # two constants put every term of G on the monomial 1
         re, im = _at_constants(eff_p, m, cx, cy)
-        return _poly(([re], [im]), m - 1, w, 0, 0)
+        return _poly(([re], [im]), m - 1, eff_p + 1, 0, 0)
     # a variable seed keeps each term of G its own monomial
-    return _poly(_fold(_closed(eff_p, m), m - 1, w, cx, cy), m - 1, w, xe, ye)
+    return _poly(_closed(eff_p, m, cx, cy), m - 1, eff_p + 1, xe, ye)
 
 
 def get_family(name: str) -> FamilySpec:

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from collections import deque
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -788,7 +789,8 @@ VARIABLE_SEED = sorted(
 def fold_by_powers(g, d, w, cx, cy):
     """G's raw value ``g`` of degree d with c_j scaled by cx^(d - w*j)*cy^j,
     by one ``GaussianInt`` power of each constant per coefficient: the
-    oracle of ``sequences._fold``'s running powers."""
+    oracle of ``sequences._closed``'s scaled terms, which come by running
+    powers in the comb region and by one exact ratio step past it."""
     cx, cy = GaussianInt(*cx), GaussianInt(*cy)
     terms = [GaussianInt(c) * cx ** (d - w * j) * cy**j for j, c in enumerate(g[0])]
     return [t.re for t in terms], [t.im for t in terms]
@@ -822,6 +824,93 @@ def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
     terms = enumerate(zip(real, imag))
     expected = BivarPoly({(xe * (d - w * j), ye * j): GaussianInt(r, i) for j, (r, i) in terms})
     assert family_value(fam, m - shift, p=p) == expected
+
+
+# every constant pair that SEEDS and DEFINITIONS put in for x and y, zeros
+# included, as Gaussian (re, im) pairs
+CONSTANTS = sorted(
+    {
+        (tuple(GradedKernel.seed(xsub, "x")[1:]), tuple(GradedKernel.seed(ysub, "y")[1:]))
+        for xsub, ysub, *_ in [*SEEDS.values(), *DEFINITIONS.values()]
+    }
+)
+
+# (p, n) for each case of the scaled closed form: n = 1 and p + 1 have one
+# coefficient; count = (n - 1) // (p + 1) = 2p ends the comb region, and
+# count = 2p + 3 takes three ratio steps past it, each with w = p + 1
+# dividing d = n - 1 (a zero x keeps its pure-y term) and not.  At p = 1000
+# the comb region runs to n past two million, where the recurrence oracle
+# cannot go, so there count stops at 3, inside it
+CLOSED_SIZES = [
+    *(
+        (p, n)
+        for p in (1, 2, 5, 40)
+        for count in (2 * p, 2 * p + 3)
+        for n in (count * (p + 1) + 1, count * (p + 1) + 2)
+    ),
+    *((p, n) for p in (1, 2, 5, 40, 1000) for n in (1, p + 1)),
+    (1000, 3004),
+    (1000, 3005),
+]
+
+
+@pytest.mark.parametrize("p, n", CLOSED_SIZES)
+def test_closed_scales_by_the_constants(p, n):
+    # each term of _closed's stream against one GaussianInt power of each
+    # constant per coefficient, applied to the recurrence's value; and the
+    # stream summed, as _at_constants sums it short of the power rule
+    g = recurrence_value(p, n)
+    for cx, cy in CONSTANTS:
+        want_re, want_im = fold_by_powers(g, n - 1, p + 1, cx, cy)
+        re, im = sequences._closed(p, n, cx, cy)
+        assert re == want_re, (cx, cy)
+        assert im == (want_im if cx[1] or cy[1] else []), (cx, cy)
+        sums = [sum(part) for part in zip(*sequences._scaled(p, n, cx, cy))]
+        assert sums == [sum(want_re), sum(want_im)], (cx, cy)
+
+
+def test_closed_takes_comb_to_2p_and_the_ratio_past_it(monkeypatch):
+    # coefficients j <= 2p take one math.comb each, and each one past them
+    # one ratio step of two perms; a zero x takes neither
+    calls = []
+
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(math, name)(*args)
+
+        return call
+
+    counting = SimpleNamespace(comb=counted("comb"), perm=counted("perm"), gcd=math.gcd)
+    monkeypatch.setattr(sequences, "math", counting)
+    for p, n in [(1, 1), (1, 6), (1, 301), (2, 40), (5, 300), (40, 3001), (40, 3500)]:
+        count = (n - 1) // (p + 1)
+        for cx, cy in [((1, 0), (1, 0)), ((1, 2), (-3, 1)), ((0, 0), (2, 1))]:
+            calls.clear()
+            sequences._closed(p, n, cx, cy)
+            last = min(count, 2 * p)
+            want = (last + 1, 2 * (count - last)) if any(cx) else (0, 0)
+            assert (calls.count("comb"), calls.count("perm")) == want, (p, n, cx)
+
+
+def test_two_constants_short_of_the_power_hold_one_term_at_a_time():
+    # short of the power rule the closed form's terms are added up one at a
+    # time: the summed lists peaked at 3.3 MiB traced here, and the pair
+    # recurrence they replaced at 272 KiB
+    fam = FamilySpec(
+        "two gaussian constants",
+        BivarPoly.constant(GaussianInt(1, 2)),
+        BivarPoly.constant(GaussianInt(-3, 1)),
+        None,
+    )
+    assert not sequences._power_wins(40, 20000)
+    tracemalloc.start()
+    try:
+        family_value(fam, 20000, p=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**10
 
 
 def test_constant_family_keeps_one_coefficient_per_term():
