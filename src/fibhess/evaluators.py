@@ -26,14 +26,13 @@ at offset d (column minus row) with its degree 1 - d.  A matrix keys each
 row's entries by that offset, so equal rows can be one map: a builder's
 matrix lists at most three maps, whatever n is, and a map is taken only
 where it is not the row above's, which is also where a run of one map
-starts.  ``_plan`` then goes down the rows for the superdiagonal
-scalars, each minor's last reader, the rows that repeat the row above
-and each other row's coefficients: it walks the rows that cannot repeat
-one by one, and fills the rest of each run of one map in one step.  Each
-distinct map's scalar, deepest offset and offsets on or below the
-diagonal are read once, and a row looks its map up only where it is not
-the row above's map; each minor's last reader is kept in a list indexed
-by column, -1 where no row reads that minor.  The set-up reads each row's
+starts.  ``_plan`` then goes down those runs, one step a run, for the
+superdiagonal scalars, each minor's last reader, the rows that repeat the
+row above and each other row's coefficients.  A run reads its map's
+scalar and deepest offset at its first row, walks the rows that cannot
+repeat one by one, and fills in the rest of the run in one step; each
+minor's last reader is kept in a list indexed by column, -1 where no row
+reads that minor.  The set-up reads each row's
 entries as stored, with no sort: a matrix stores each row in reading
 order, its superdiagonal entry first and then the diagonal and the
 entries to its left, nearest first.  A graded matrix (every entry
@@ -46,19 +45,20 @@ other matrix runs on ``PolyKernel``, on ``BivarPoly`` itself.
 Row i's entry at offset d, from column c = i + d, has the superdiagonal
 product a_{c,c+1} ... a_{i-1,i}: its window.  A row whose entries and
 windows' products are all the row above's has the row above's
-coefficients too, and reuses them.  The set-up decides this at O(1)
-a row: row i repeats row i - 1 when it is the same map (so it has the
-same entries at the same offsets, and the same superdiagonal scalar),
-and every factor its windows would swap, from a_{i-1+d,i+d} for its
-deepest offset d to a_{i-1,i}, lies in one run of equal scalars.  Only
-a new map can start a run of equal scalars, so once a row repeats the
-row above, so does every row below it in its run of one map: the set-up
-adds them in one step, to the run's length, to the superdiagonal and to
-each minor's last reader, one slice for each offset the map reads.  Any
-other row walks its windows out from the diagonal, one factor at a time,
-and makes its coefficients as above.  So a paper matrix walks its band's
-p factors and makes its coefficients once for each kind of row, three
-times at any n, not once a row; its set-up walks three rows, not n, and
+coefficients too, and reuses them.  Row i repeats row i - 1 when it is
+the same map (so it has the same entries at the same offsets, and the
+same superdiagonal scalar), and every factor its windows would swap,
+from a_{i-1+d,i+d} for its deepest offset d to a_{i-1,i}, lies in one
+run of equal scalars.  Only a new map can start a run of equal scalars,
+so the set-up decides this once a run of one map: its rows repeat from
+the first row past its first whose swapped factors all lie in one run of
+equal scalars, and the set-up adds that row and the rest of the run in
+one step, to the run's length, to the superdiagonal and to each minor's
+last reader, one slice for each offset the map reads.  Any other row
+walks its windows out from the diagonal, one factor at a time, and makes
+its coefficients as above.  So a paper matrix walks its band's p factors
+and makes its coefficients once for each kind of row, three times at any
+n, not once a row; its set-up walks three rows, not n, and
 its plan lists three runs of rows.
 
 A plan holds everything the loop reads: the kernel's type and w, each
@@ -106,9 +106,10 @@ lower-Hessenberg, so an order-n oracle has at most 2^(n-1) leaves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .matrices import HessenbergMatrix
 from .ring import BivarPoly, Frozen, ZERO, check_count, kernel_for
@@ -155,9 +156,10 @@ def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]
     lengths[r] its number of rows.  last_read[c] is the last row to read
     minor c, -1 where no row reads it.  The loop reads nothing else, so
     two plans that are equal, compared by value, give equal minors,
-    converted alike.  Past one scan for the distinct maps, the set-up's
-    Python-level work is the runs and the rows that walk their windows:
-    it fills the rest of each run of one map in one step."""
+    converted alike.  Past one scan for the distinct maps and the rows
+    where each run of one map starts, the set-up is one loop over those
+    runs: a run reads its map at its first row, walks the rows that
+    cannot repeat the row above, and fills in the rest in one step."""
     rows = a._rows
     # each distinct row map once, and the row where each run of one map
     # starts: rows that share a map are mostly runs, so a map is taken only
@@ -168,47 +170,27 @@ def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]
             distinct[id(row)] = prev = row
             starts.append(i)
     ring = kernel_for((1 - d, e) for row in distinct.values() for d, e in row.items())
-    # each distinct map's scalar a[k, k+1], negated for det so that a
-    # product of i - c of them carries the sign (-1)^(i-c), its deepest
-    # offset (its last key, as a map is stored in reading order) and its
-    # offsets d <= 0, shallowest first; a row looks its map up only where
-    # the map differs from the row above's
-    maps = {
-        key: (
-            ring.scalar(row.get(1, ZERO), signed),
-            next(reversed(row), 0),
-            [d for d in row if d <= 0],
-        )
-        for key, row in distinct.items()
-    }
     coefficient, times = ring.coefficient, ring.times
     superdiag, coefficients, lengths, last_read = [], [], [], [-1] * (order + 1)
-    start, prev = 0, None  # superdiag[i - 1]'s run of equal scalars begins at superdiag[start]
-    ends = iter(starts[1:] + [len(rows)])  # where each run of one map ends
-    i, below = -1, iter(rows[:order])  # row i, then the rows below it
-    for row in below:
-        i += 1
-        # row i repeats row i - 1 (the module docstring's rule) when it is
-        # the same map, and superdiag[i - 1 + deepest] .. superdiag[i - 1],
-        # every factor its windows swap, lie in one run of equal scalars;
-        # the map above has this scalar, so only a new map ends a run, and
-        # rows i + 1 .. end - 1 repeat too: the rest of the map's run is
-        # filled in one step and skipped.  Minor c's last reader is the
-        # largest row to read it, so the deepest offset's slice comes last
-        if row is prev and start <= i - 1 + deepest:
-            end = min(end, order)
-            lengths[-1] += end - i
-            superdiag.extend(repeat(scalar, end - i))
-            for d in reads:
-                last_read[i + d : end + d] = range(i, end)
-            next(islice(below, end - i - 1, end - i - 1), None)
-            i = end - 1
-        else:
-            if row is not prev:
-                scalar, deepest, reads = maps[id(row)]
-                if i and scalar != superdiag[-1]:
-                    start = i
-                prev, end = row, next(ends)
+    start = 0  # superdiag[i - 1]'s run of equal scalars begins at superdiag[start]
+    runs = bisect_left(starts, order)  # the runs that start before row order
+    for s, end in zip(starts[:runs], starts[1:runs] + [order]):
+        # the run's map, read at its first row: its scalar a[k, k+1],
+        # negated for det so that a product of i - c of them carries the
+        # sign (-1)^(i-c), and its deepest offset (its last key, as a map
+        # is stored in reading order); only a new map starts a run of
+        # equal scalars
+        row = rows[s]
+        scalar = ring.scalar(row.get(1, ZERO), signed)
+        deepest = next(reversed(row), 0)
+        if s and scalar != superdiag[-1]:
+            start = s
+        # row i > s repeats row i - 1 (the module docstring's rule) when
+        # superdiag[i - 1 + deepest] .. superdiag[i - 1], every factor its
+        # windows swap, lie in one run of equal scalars: from row walk on
+        # every row of the run repeats, and rows s .. walk - 1 walk
+        walk = min(end, max(s + 1, start + 1 - deepest))
+        for i in range(s, walk):
             # (offset, the entry times its product) for each entry on or
             # below the diagonal; row i as stored: its superdiagonal entry
             # first, which the rows below read through superdiag, then the
@@ -223,11 +205,18 @@ def _plan(a: HessenbergMatrix, signed: bool, order: int) -> tuple[object, tuple]
                     k -= 1
                     prod = times(prod, superdiag[k])
                 entries.append((d, coefficient(entry, prod)))
+                last_read[i + d] = i
             coefficients.append(entries)
             lengths.append(1)
             superdiag.append(scalar)
-            for d in reads:
-                last_read[i + d] = i
+        # rows walk .. end - 1 in one step, over the offsets d <= 0 of the
+        # last row walked, shallowest first: minor c's last reader is the
+        # largest row to read it, so the deepest offset's slice comes last
+        if walk < end:
+            lengths[-1] += end - walk
+            superdiag.extend(repeat(scalar, end - walk))
+            for d, _ in entries:
+                last_read[walk + d : end + d] = range(walk, end)
     return ring, ((type(ring), getattr(ring, "w", None)), coefficients, lengths, last_read)
 
 

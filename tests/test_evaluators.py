@@ -302,6 +302,38 @@ def test_the_set_up_gives_the_per_row_plan_on_dense_builders(builder, p):
         assert_plans_per_row(HessenbergMatrix(builder(p, n).rows()), range(n + 1), (p, n))
 
 
+@pytest.mark.parametrize("p", [1, 5, 300])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_the_set_up_gives_the_per_row_plan_at_scale(builder, p):
+    # at n = 5000 a plan of order n // 2 or n - 1 ends inside the band's
+    # run, past the rows that walk: in its repeating tail
+    n = 5000
+    assert_plans_per_row(builder(p, n), (p, p + 1, n // 2, n - 1, n), (p, n))
+
+
+def alternating_maps(n, b):
+    """Order n: a head row, then rows that alternate between two maps, A
+    with superdiagonal 1 and y at offset -1 and B with superdiagonal b and
+    2y there, and a last row.  Every run of one map is one row long, and
+    A and B each head about n / 2 runs."""
+    one = BivarPoly.constant(1)
+    head, last = {1: one, 0: X}, ({0: X, -1: Y} if n > 1 else {0: X})
+    pair = [{1: one, 0: X, -1: Y}, {1: BivarPoly.constant(b), 0: X, -1: Y.scale(2)}]
+    return HessenbergMatrix._from_nonzeros(([head] + pair * n)[: n - 1] + [last])
+
+
+@pytest.mark.parametrize("b", [1, GaussianInt(0, 1)])
+def test_maps_that_head_many_runs(b):
+    # equal superdiagonal scalars, and ones that change every row
+    for n in range(1, 41):
+        a = alternating_maps(n, b)
+        assert_plans_per_row(a, range(n + 1) if n == 40 else (n - 1, n), (b, n))
+        if n <= EvalBudget().max_det_order:
+            assert det_hessenberg(a) == det_oracle(a), (b, n)
+        if n <= EvalBudget().max_per_order:
+            assert per_hessenberg(a) == per_oracle(a), (b, n)
+
+
 def test_recursion_keeps_only_the_minors_it_will_read():
     # a banded matrix needs only the last p + 1 minors between rows;
     # keeping all n + 1 peaks at about 15 MiB for W and H, and keeping a

@@ -405,8 +405,9 @@ def test_p_far_beyond_n(monkeypatch):
         raise AssertionError("a column was built for n <= p")
 
     # and G(p, n)'s value by columns builds no column
-    monkeypatch.setattr(sequences, "accumulate", no_column)
-    assert f_poly(huge, 3) == X**2
+    with monkeypatch.context() as columns:
+        columns.setattr(sequences, "accumulate", no_column)
+        assert f_poly(huge, 3) == X**2
     assert fib_p_number(huge, 5) == 1
     # a power of p + 1 coefficients would not fit: the closed form runs,
     # and raises a constant x to no power beyond x^(n-1)
