@@ -14,15 +14,20 @@ that converts its raw values to ``BivarPoly`` and the raw values of
 G(p, 1..n) from one pass, the recurrence's terms or the leading minors of
 orders 0..n-1 of one order-n matrix (whose leading k x k block is the
 order-k matrix; the route plans only the rows those minors need, so it
-never computes order n).  Calling a matrix route gives G(p, n), the
-stream's last value, the only one it converts.  Calling the recurrence
-route gives G(p, n) by columns (below), with G(p, 0) = 0, and ``f_poly``
-is the recurrence route.  Each matrix route runs on its own in
-``ROUTES``, but after their set-ups the four are one computation: their
-plans (``evaluators._plan``) are equal.  So ``cross_check`` and
-``cross_check_prefix`` make the four plans, group the routes whose plans
-are equal, compared by value, and run the loop and the conversion once
-per group, every route in a group reading that group's ``BivarPoly``.
+never computes order n).  Every stream of a matrix route runs
+``evaluators._run``, the one loop of every stream.  Calling a matrix
+route gives G(p, n), the stream's last value, from ``evaluators._last``
+without the stream: by columns where its plan allows, as for the paper
+matrices, else as the loop's last value; either way it converts only that
+value.
+Calling the recurrence route gives G(p, n) by columns (below), with
+G(p, 0) = 0, and ``f_poly`` is the recurrence route.  Each matrix route
+runs on its own in ``ROUTES``, but after their set-ups the four are one
+computation: their plans (``evaluators._plan``) are equal.  So
+``cross_check`` and ``cross_check_prefix`` make the four plans, group the
+routes whose plans are equal, compared by value, and compute and convert
+once per group, ``cross_check`` by ``_last`` and ``cross_check_prefix``
+by the loop, every route in a group reading that group's ``BivarPoly``.
 ``cross_check_prefix(p, n)`` walks the recurrence's stream and one
 stream per group in lockstep and yields ``cross_check(p, k)`` for
 k = 1..n, converting only each cell's own values to ``BivarPoly``; the
@@ -55,15 +60,18 @@ both take G from it, and a family with a variable seed takes ``_closed``.
 G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1,
 so its raw graded value is the list of its coefficients by y-degree j, as
 the ring's graded kernel holds a value.  The four matrix routes run on
-that kernel; nothing here does.  Read down one y-degree j, G's
+that kernel, their one-value columns on its conversion alone; nothing
+here does.  Read down one y-degree j, G's
 coefficients are a running sum, c_j(k) = c_j(k-1) + c_{j-1}(k-p-1).  The
 recurrence route's stream, which ``f_poly_prefix``, ``cross_check_prefix``
 and ``check`` read, applies that rule across each order in one list
 display of plain ints (``_recurrence``); its value, which ``f_poly``,
 ``cross_check`` and ``gen`` read, applies it down each column, one
 ``itertools.accumulate`` of the one before (``_by_columns``).  So neither
-shares arithmetic with the matrix routes, and a fault in the kernel splits
-the recurrence from them, in one cell and in the grid.  Every value this
+shares arithmetic with the matrix routes, and a fault in their code
+splits the recurrence from them wherever that code runs: the conversion
+in one cell and in the grid, the loop in the grid, and the columns in
+one cell, in a route called alone and so in ``gen``.  Every value this
 module makes, the families' included, becomes a ``BivarPoly`` through one
 conversion from explicit keys, ``_poly``; ``GradedKernel.poly`` converts
 the matrix routes alone.  Nothing else runs the recurrence, so the tests
@@ -79,7 +87,7 @@ from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import add
 
-from .evaluators import _plan, _run, check_budget, det_oracle, last_poly, per_oracle
+from .evaluators import _last, _plan, _run, check_budget, det_oracle, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
 from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GradedKernel, _wrap, check_count
 
@@ -489,8 +497,9 @@ class _MatrixRoute(_Route):
     build(p, k): the minors of orders 0..n-1 are G(p, 1..n).  So its plan,
     ``plan(p, n)``, is ``evaluators._plan`` of build(p, n)'s first n - 1
     rows, and the stream runs ``_run`` over it and never computes order
-    n.  Its values convert by the kernel's ``poly``.  The builder checks p
-    and n."""
+    n.  Calling the route takes the plan's last minor from ``_last``, by
+    columns where the plan allows.  Its values convert by the kernel's
+    ``poly``.  The builder checks p and n."""
 
     __slots__ = ("plan",)
 
@@ -500,6 +509,9 @@ class _MatrixRoute(_Route):
 
         super().__init__(lambda p, n: _stream(*plan(p, n)))
         self.plan = plan
+
+    def __call__(self, p: int, n: int) -> BivarPoly:
+        return _last(*self.plan(p, n), n - 1)
 
 
 def _stream(ring, plan: tuple) -> tuple[_Poly, Iterator]:
@@ -564,13 +576,14 @@ def _by_name(groups, shared: list) -> dict:
 
 def cross_check(p: int, n: int) -> CrossCheckReport:
     """Compare each of the four order-n matrix routes with the recurrence
-    value G(p, n+1).  Matrix routes with equal plans share one run of the
-    loop and one conversion: each group of ``_groups`` computes its value
-    once, and every route in it reads that ``BivarPoly``."""
+    value G(p, n+1).  Matrix routes with equal plans share one value and
+    one conversion: each group of ``_groups`` computes its value once, by
+    ``evaluators._last`` (by columns for the paper matrices), and every
+    route in it reads that ``BivarPoly``."""
     _check_args(p, n, n_min=1)
     groups = _groups(p, n + 1)
     shared = [
-        route(p, n + 1) if planned is None else last_poly(*_stream(*planned), n)
+        route(p, n + 1) if planned is None else _last(*planned, n)
         for _, route, planned in groups
     ]
     return _report(p, n, _by_name(groups, shared))

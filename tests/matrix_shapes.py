@@ -153,6 +153,24 @@ def three_constant_superdiagonal(p, n):
     return a
 
 
+def alternating_band(p, n):
+    """build_k's layout, x on the diagonal and 1 on the superdiagonal, with
+    the band entry at offset p 2y and 3y in turn, row by row, so that each
+    band row is a map, and a run of rows, of its own.  It is graded and
+    real, and x is each row's only y-free entry: the structure that the
+    evaluators' one-value columns need.  But with a run per row the
+    columns would take a few steps per row for each y-degree, so one value
+    of it must take the row loop."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = X
+        if i + 1 < n:
+            rows[i][i + 1] = ONE
+        if i >= p:
+            rows[i][i - p] = Y.scale(2 + (i - p) % 2)
+    return HessenbergMatrix(rows)
+
+
 def random_graded(w):
     """Entries of weight i - j + 1 with y of weight w and nonzero Gaussian
     coefficients: scalars on the superdiagonal, and every x^(d - w*b) y^b of
@@ -218,6 +236,7 @@ SHAPES = {
     "far_entry": Shape(far_entry, poly),
     "two_constant_superdiagonal": Shape(two_constant_superdiagonal, band),
     "three_constant_superdiagonal": Shape(three_constant_superdiagonal, band),
+    "alternating_band": Shape(alternating_band, band),
     # a zero superdiagonal entry, a[1, 2], inside the band's windows
     "zero_superdiagonal_in_band": edited(
         build_w, lambda p, n, i, j, e: ZERO if (i, j) == (1, 2) else e, band, n_min=3

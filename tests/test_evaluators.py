@@ -4,6 +4,7 @@ import contextlib
 import random
 import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from fibhess.ring import ONE, X, Y, ZERO, BivarPoly, GaussianInt, kernel_for
 from fibhess.sequences import f_poly, family_value, get_family
 from matrix_shapes import (
     SHAPES,
+    alternating_band,
     far_entry,
     three_constant_superdiagonal,
     two_constant_superdiagonal,
@@ -334,21 +336,126 @@ def test_maps_that_head_many_runs(b):
             assert per_hessenberg(a) == per_oracle(a), (b, n)
 
 
-def test_recursion_keeps_only_the_minors_it_will_read():
-    # a banded matrix needs only the last p + 1 minors between rows;
-    # keeping all n + 1 peaks at about 15 MiB for W and H, and keeping a
-    # window from the farthest entry to the diagonal at about 8.7 MiB for
-    # the far-entry matrix
+def test_recursion_keeps_only_the_minors_it_will_read(monkeypatch):
+    # every stream runs the loop: a banded matrix needs only the last p + 1
+    # minors between rows; keeping all n + 1 peaks at about 15 MiB for W
+    # and H, and keeping a window from the farthest entry to the diagonal at
+    # about 8.7 MiB for the far-entry matrix
     w, h, far = build_w(1, 600), build_h(1, 600), far_entry(2, 80)
-    cases = ((det_hessenberg, w), (per_hessenberg, h), (det_hessenberg, far), (per_hessenberg, far))
-    for evaluate, a in cases:
+    for signed, a in ((True, w), (False, h), (True, far), (False, far)):
         tracemalloc.start()
         try:
-            evaluate(a)
+            kernel, minors = evaluators.leading_minors(a, signed)
+            evaluators.last_poly(kernel.poly, minors, a.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20, (evaluate.__name__, a.n, peak)
+        assert peak < 3 * 2**20, (signed, a.n, peak)
+    # one value by columns holds the columns up to the largest y-shift
+    # below the one it builds: W's band reads one column below, and a band
+    # of x*y + y^2 at offset -1, with y of weight 1, reads two
+    made, alive = [], []
+
+    class Column(list):
+        """A column that the test holds weakly, to count those alive."""
+
+    def column(values):
+        new = Column(values)
+        made.append(weakref.ref(new))
+        alive.append(sum(ref() is not None for ref in made))
+        return new
+
+    two_shifts = HessenbergMatrix._from_nonzeros(
+        [{1: ONE, 0: X}] + [{1: ONE, 0: X, -1: X * Y + Y * Y}] * 598 + [{0: X, -1: X * Y + Y * Y}]
+    )
+    for a, top in ((w, 1), (two_shifts, 2)):
+        ring_a, plan = evaluators._plan(a, True, a.n)
+        made.clear(), alive.clear()
+        with monkeypatch.context() as m:
+            m.setattr(evaluators, "list", column, raising=False)
+            assert evaluators._columns_win(plan)
+            by_columns = ring_a.poly(evaluators._columns(plan), a.n)
+        assert len(made) == a.n // plan[0][1] and max(alive) <= top + 1, (top, max(alive))
+        assert by_columns == loop_value(ring_a, plan, a.n)
+
+
+def loop_value(kernel, plan, degree):
+    """A plan's last minor from the row loop, ``evaluators._run``."""
+    return evaluators.last_poly(kernel.poly, evaluators._run(kernel, plan), degree)
+
+
+def columns_exact(plan):
+    """Whether ``evaluators._columns`` is exact on a plan: it is graded,
+    every coefficient is real, and each run's only y-free term is 1 at
+    offset 0."""
+    (kind, _), coefficients, _, _ = plan
+    return kind is ring.GradedKernel and all(
+        [(d, cr, ci) for d, coeff in entries for j, cr, ci in coeff if not j] == [(0, 1, 0)]
+        and not any(ci for _, coeff in entries for _, _, ci in coeff)
+        for entries in coefficients
+    )
+
+
+def test_columns_give_the_loops_value_on_every_shape_they_fit():
+    # every row of tests/matrix_shapes.py at p 1-4 and orders to 30: where
+    # the columns are exact they give the loop's last value, and the rule
+    # takes them only there.  A PolyKernel row never fits, and its set-up
+    # multiplies BivarPoly windows, so it stops at order 7
+    fits = set()
+    for name, shape in SHAPES.items():
+        for p in range(1, 5):
+            for n in range(shape.n_min, 31):
+                if n > 7 and shape.kernel(p, n) is None:
+                    break
+                a = shape.make(p, n)
+                for signed in (True, False):
+                    kernel, plan = evaluators._plan(a, signed, n)
+                    if not columns_exact(plan):
+                        assert not evaluators._columns_win(plan), (name, p, n)
+                        continue
+                    fits.add(name)
+                    got = kernel.poly(evaluators._columns(plan), n)
+                    assert got == loop_value(kernel, plan, n), (name, p, n, signed)
+    assert {"build_w", "zero_superdiagonal_in_band", "alternating_band"} <= fits
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_columns_give_the_loops_value_on_the_builders(builder):
+    # the benchmark's and CI's sizes, whole and as a route plans them, and
+    # every n <= p, where y is in no entry, w = 1 and only column 0 is built
+    signed = builder in (build_w, build_m)
+    for p, n in ((1, 3001), (2, 651), (5, 781), (300, 3001)):
+        a = builder(p, n)
+        for order in (n - 1, n):
+            kernel, plan = evaluators._plan(a, signed, order)
+            assert evaluators._columns_win(plan), (p, n, order)
+            assert kernel.poly(evaluators._columns(plan), order) == loop_value(kernel, plan, order)
+    for p in (1, 2, 5, 300):
+        for n in sorted({1, min(2, p), p // 2 + 1, p}):
+            kernel, plan = evaluators._plan(builder(p, n), signed, n)
+            assert evaluators._columns_win(plan) and plan[0][1] == 1
+            assert evaluators._columns(plan) == ([1], []), (p, n)
+            assert loop_value(kernel, plan, n) == X**n
+
+
+def test_the_rule_takes_the_loop_where_the_columns_do_not_fit_or_pay():
+    # a Gaussian coefficient, a diagonal scaled by 2, PolyKernel, and a
+    # run per band row, where the columns would be exact but slow
+    a = build_w(5, 80)
+    cases = {
+        "gaussian coefficient": two_constant_superdiagonal(30, 400),
+        "scaled diagonal": a.scale_row(40, 2),
+        "scaled head diagonal": a.scale_row(2, 2),
+        "far entry": far_entry(30, 400),
+        "random general": SHAPES["random_general"].make(3, 40),
+        "alternating band (1, 400)": alternating_band(1, 400),
+        "alternating band (5, 780)": alternating_band(5, 780),
+    }
+    for label, m in cases.items():
+        for signed in (True, False):
+            _, plan = evaluators._plan(m, signed, m.n)
+            assert not evaluators._columns_win(plan), (label, signed)
+    assert columns_exact(evaluators._plan(cases["alternating band (1, 400)"], True, 400)[1])
 
 
 # --- graded kernel and its fallback ---------------------------------------

@@ -4,7 +4,7 @@ import math
 import re
 import tracemalloc
 from collections import deque
-from itertools import islice
+from itertools import accumulate, islice
 from types import SimpleNamespace
 
 import pytest
@@ -541,10 +541,22 @@ def poly_with_x_exponents_up(self, value, degree):
     return ring._wrap(terms)
 
 
+def accumulate_one_row_late(drive):
+    """``itertools.accumulate`` as ``evaluators._columns`` takes it, with
+    one fault: the drive is read one row late, so each column's running
+    sum starts at 0 and never adds the drive's last entry."""
+    drive = list(drive)
+    return accumulate([0, *drive[:-1]])
+
+
 ADD_SCALED = ring._add_scaled
+# each fault and the readers it reaches: the row loop runs the streams (the
+# grid), the columns run one value (a cross_check cell, a route called
+# alone, so ``gen``, and det_hessenberg), and the conversion runs both
 KERNEL_FAULTS = {
-    "add-scaled-shared-subtracts": (ring, "_add_scaled", subtracting_shared_add),
-    "poly-x-exponent-plus": (GradedKernel, "poly", poly_with_x_exponents_up),
+    "add-scaled-shared-subtracts": ((ring, "_add_scaled", subtracting_shared_add), {"grid"}),
+    "poly-x-exponent-plus": ((GradedKernel, "poly", poly_with_x_exponents_up), {"cell", "grid"}),
+    "columns-drive-one-row-late": ((evaluators, "accumulate", accumulate_one_row_late), {"cell"}),
 }
 
 
@@ -556,19 +568,42 @@ def test_a_graded_kernel_fault_splits_the_recurrence_from_the_matrices(
     # neither the recurrence route's value nor its stream runs graded
     # kernel code, so a fault there changes the four matrix routes alike
     # but not the recurrence, and the five-way check names the first matrix
-    # route: in one cell, in the grid, and in the CLI's grid
-    monkeypatch.setattr(*KERNEL_FAULTS[fault])
+    # route wherever the faulty code runs: in one cell, in each route's
+    # value and in det_hessenberg through the columns, in the grid and the
+    # CLI's grid through the loop; a fault in code that a reader does not
+    # run leaves that reader passing
+    patch, reaches = KERNEL_FAULTS[fault]
+    monkeypatch.setattr(*patch)
     r = cross_check(p, n)
-    assert not r.all_equal
-    assert r.first_mismatch == ("recurrence", "det-w")
-    assert plain_terms(r.values["recurrence"]) == closed_form(p, n + 1)
-    first = next(cell for cell in sequences.cross_check_prefix(p, n) if not cell.all_equal)
-    assert first.first_mismatch == ("recurrence", "det-w")
-    assert plain_terms(first.values["recurrence"]) == closed_form(p, first.n + 1)
-    assert cli.main(["check", "--p-max", "2", "--n-max", "40"]) == 1
+    recurrence = r.values["recurrence"]
+    assert plain_terms(recurrence) == closed_form(p, n + 1)
+    if "cell" in reaches:
+        assert not r.all_equal
+        assert r.first_mismatch == ("recurrence", "det-w")
+        for name in BUILDER_NAMES:
+            assert sequences.ROUTES[name](p, n + 1) != recurrence, name
+        assert det_hessenberg(build_w(p, n)) != recurrence
+    else:
+        assert r.all_equal
+    first = next((cell for cell in sequences.cross_check_prefix(p, n) if not cell.all_equal), None)
+    if "grid" in reaches:
+        assert first.first_mismatch == ("recurrence", "det-w")
+        assert plain_terms(first.values["recurrence"]) == closed_form(p, first.n + 1)
+    else:
+        assert first is None
+    code = cli.main(["check", "--p-max", "2", "--n-max", "40"])
     out, err = capsys.readouterr()
-    assert re.fullmatch(r"80 checks, \d+ passed\n", out) and out != "80 checks, 80 passed\n"
-    assert re.fullmatch(r"FAIL at p=1, n=\d+: recurrence != det-w\n", err)
+    if "grid" in reaches:
+        assert code == 1
+        assert re.fullmatch(r"80 checks, \d+ passed\n", out) and out != "80 checks, 80 passed\n"
+        assert re.fullmatch(r"FAIL at p=1, n=\d+: recurrence != det-w\n", err)
+    else:
+        assert (code, out, err) == (0, "80 checks, 80 passed\n", "")
+    gen = {}
+    for method in ("recurrence", "det-w"):
+        assert cli.main(["gen", "--p", str(p), "--n", str(n + 1), "--method", method]) == 0
+        gen[method] = capsys.readouterr().out
+    assert (gen["det-w"] != gen["recurrence"]) == ("cell" in reaches)
 
 
 def test_a_stream_that_runs_short_fails_the_grid(monkeypatch):
@@ -641,27 +676,32 @@ def test_a_coefficient_fault_at_one_scalar_splits_the_matrix_routes(monkeypatch,
 
 def test_cross_check_runs_one_matrix_loop(monkeypatch):
     # the four paper matrices of one (p, n) have equal plans, so cross_check
-    # and the grid run the loop once, one sum_of_products a row, where four
-    # loops would make four times the calls; a route called on its own
-    # still runs its own loop, over the rows its minors need
-    calls = []
-    step = GradedKernel.sum_of_products
+    # builds one value by columns and the grid runs the loop once, one
+    # sum_of_products a row, where four loops would make four times the
+    # calls; a route called on its own builds its own value by columns
+    calls, columns = [], []
+    step, by_columns = GradedKernel.sum_of_products, evaluators._columns
 
     def counted(pairs):
         calls.append(1)
         return step(pairs)
 
+    def counted_columns(plan):
+        columns.append(1)
+        return by_columns(plan)
+
     monkeypatch.setattr(GradedKernel, "sum_of_products", staticmethod(counted))
+    monkeypatch.setattr(evaluators, "_columns", counted_columns)
     for p, n in ((1, 40), (5, 80), (300, 700)):
-        calls.clear()
+        calls.clear(), columns.clear()
         assert cross_check(p, n).all_equal
-        assert len(calls) == n, (p, n, len(calls))
-        calls.clear()
+        assert (len(columns), len(calls)) == (1, 0), (p, n, len(columns), len(calls))
+        calls.clear(), columns.clear()
         assert all(cell.all_equal for cell in sequences.cross_check_prefix(p, n))
-        assert len(calls) == n, (p, n, len(calls))
-        calls.clear()
+        assert (len(columns), len(calls)) == (0, n), (p, n, len(columns), len(calls))
+        calls.clear(), columns.clear()
         sequences.ROUTES["det-m"](p, n)
-        assert len(calls) == n - 1, (p, n, len(calls))
+        assert (len(columns), len(calls)) == (1, 0), (p, n, len(columns), len(calls))
 
 
 # --- closed form ----------------------------------------------------------------
