@@ -92,14 +92,15 @@ not n + 1, and memory is O(p * terms) instead of O(n * terms).
 
 A reader of one value, the last minor of a plan, needs no stream: the
 det/per evaluators here, a matrix route called on its own and each plan
-group of ``sequences.cross_check`` take it from ``_last``.  Where the
-plan allows (``_columns_win``), ``_last`` builds it by columns
-(``_columns``): one ``itertools.accumulate`` per y-degree over every
-order, as ``sequences._by_columns`` builds the recurrence's value, with
-no kernel call, only the conversion by the kernel's ``poly``.  Elsewhere
-it takes ``_run``'s last value through ``last_poly``, which takes a
-stream's last raw value as a ``BivarPoly``, through the conversion
-function it is given.
+group of ``sequences.cross_check`` take it from ``_last``, which builds
+it by columns (``_columns``): one ``itertools.accumulate`` per y-degree
+over every order, as ``sequences._by_columns`` builds the recurrence's
+value, with no kernel call, only the conversion by the kernel's
+``poly``.  ``_columns`` itself turns down a plan that does not fit the
+method or would not pay, in the one walk over the plan's runs that
+lists their y-terms; only then does ``_last`` take ``_run``'s last value
+through ``last_poly``, which takes a stream's last raw value as a
+``BivarPoly``, through the conversion function it is given.
 
 The brute-force oracles cross-check the recursions at small orders by one
 expansion, ``_laplace``, along the first row (the recursion expands along
@@ -246,19 +247,21 @@ def _run(ring, plan: tuple) -> Iterator:
         yield minor
 
 
-def _columns(plan: tuple) -> tuple[list[int], list]:
+def _columns(plan: tuple) -> tuple[list[int], list] | None:
     """A plan's last minor, of order n, as a raw graded value
-    ``(coeffs, [])``, built one y-degree m at a time: column m lists the
-    y^m coefficients D_k[m] of minors k = w*m..n, and its last entry is
-    coeffs[m].  It is exact on a graded plan with real coefficients whose
-    every run has 1 at offset 0 as its only y-free term; ``_last`` takes it
-    where ``_columns_win`` passes the plan.
+    ``(coeffs, [])``, built one y-degree m at a time, or None where the
+    plan does not fit the method or would not pay: column m lists the y^m
+    coefficients D_k[m] of minors k = w*m..n, and its last entry is
+    coeffs[m].  One walk over the plan's runs checks both and lists each
+    run's y-terms, so ``_last`` runs the loop only where this turns the
+    plan down.
 
-    Minor k is graded of degree k, so it has no y^m term below order
-    w*m: by induction, an entry at offset d holds y^j only where
-    w*j <= 1 - d, so row i, which makes minor i + 1 from minors i + d,
-    reads D_{i+d}[m - j] only where w*(m - j) <= i + d, and then
-    w*m <= i + 1.  Row i's coefficient c*y^j at offset d adds
+    It fits a graded plan with real coefficients whose every run has 1 at
+    offset 0 as its only y-free term.  Minor k is graded of degree k, so it
+    has no y^m term below order w*m: by induction, an entry at offset d
+    holds y^j only where w*j <= 1 - d, so row i, which makes minor i + 1
+    from minors i + d, reads D_{i+d}[m - j] only where w*(m - j) <= i + d,
+    and then w*m <= i + 1.  Row i's coefficient c*y^j at offset d adds
     c * D_{i+d}[m - j] to D_{i+1}[m]; when a run's only y-free term is
     1 * D_i, its diagonal x, D_{i+1}[m] = D_i[m] + sum c * D_{i+d}[m - j]
     is a running sum.  So column 0 is all ones, and column m, which is
@@ -270,15 +273,32 @@ def _columns(plan: tuple) -> tuple[list[int], list]:
     column costs a few steps a run and C-level adds.  A column reads the
     columns up to J below it, J the largest y-shift, so J columns are held
     and the one being built.  The paper matrices read one column below
-    (J = 1), as the recurrence's ``sequences._by_columns`` does."""
-    (_, w), coefficients, lengths, last_read = plan
+    (J = 1), as the recurrence's ``sequences._by_columns`` does.
+
+    It pays where few runs carry y-terms: it makes each of the n // w
+    columns in a few steps for each such run, where ``_run`` makes n rows,
+    so it asks (runs with y-terms) * (n // w) <= 2n and stops walking the
+    runs once they pass it.  The bound is measured (2-vCPU Xeon, Python
+    3.11.7) on a band whose coefficient, 2y or 3y, changes every L rows:
+    the columns were the faster while the left side was up to 2.5n at
+    (1, 400), 2.8n at (30, 400), 4n at (2, 650) and (5, 780) and 6.5n at
+    (1, 1500), and the loop past that; with a change every row the columns
+    took 44.6 ms against the loop's 4.9 ms at (1, 400)."""
+    (kind, w), coefficients, lengths, last_read = plan
+    if kind is not GradedKernel:
+        return None
     n = len(last_read) - 1
     # each run's rows a..b-1 and its y-terms (j, c, s): coefficient c of
     # y^j at offset d, which reads column m - j at shift s = 1 - d - w*j
-    runs, a = [], 0
+    runs, a, carrying = [], 0, 0
     for entries, length in zip(coefficients, lengths):
-        terms = [(j, c, 1 - d - w * j) for d, coeff in entries for j, c, _ in coeff if j]
-        runs.append((a, a + length, terms))
+        terms = [(d, j, cr, ci) for d, coeff in entries for j, cr, ci in coeff]
+        if any(ci for *_, ci in terms) or [t for t in terms if not t[1]] != [(0, 0, 1, 0)]:
+            return None
+        carrying += len(terms) > 1
+        if carrying * (n // w) > 2 * n:
+            return None
+        runs.append((a, a + length, [(j, c, 1 - d - w * j) for d, j, c, _ in terms if j]))
         a += length
     top = max((j for _, _, terms in runs for j, _, _ in terms), default=0)
     held = deque([[1] * (n + 1)], maxlen=top or 1)  # columns m - top .. m - 1
@@ -309,42 +329,15 @@ def _columns(plan: tuple) -> tuple[list[int], list]:
     return coeffs, []
 
 
-def _columns_win(plan: tuple) -> bool:
-    """Whether ``_last`` takes ``_columns`` for a plan's last minor rather
-    than ``_run``'s last value, read from the plan alone.  ``_columns`` is
-    exact where the plan is graded, every coefficient is real and each
-    run's only y-free term is 1 at offset 0, the diagonal's x.  It pays
-    where few runs carry y-terms: it makes each of the n // w columns in a
-    few steps for each such run, where ``_run`` makes n rows, so the rule
-    asks (runs with y-terms) * (n // w) <= 2n, n the plan's order, and
-    stops reading runs once they pass it.  The bound is measured (2-vCPU
-    Xeon, Python 3.11.7) on a band whose coefficient, 2y or 3y, changes
-    every L rows: the columns were the faster while the rule's left side
-    was up to 2.5n at (1, 400), 2.8n at (30, 400), 4n at (2, 650) and
-    (5, 780) and 6.5n at (1, 1500), and the loop past that; with a change
-    every row the columns took 44.6 ms against the loop's 4.9 ms at
-    (1, 400)."""
-    (kind, w), coefficients, _, last_read = plan
-    if kind is not GradedKernel:
-        return False
-    n, carrying = len(last_read) - 1, 0
-    for entries in coefficients:
-        terms = [(d, j, cr, ci) for d, coeff in entries for j, cr, ci in coeff]
-        if any(ci for *_, ci in terms) or [t for t in terms if not t[1]] != [(0, 0, 1, 0)]:
-            return False
-        carrying += len(terms) > 1
-        if carrying * (n // w) > 2 * n:
-            return False
-    return True
-
-
 def _last(ring, plan: tuple, degree: int) -> BivarPoly:
     """A plan's last minor as a ``BivarPoly`` of the given degree, by
-    ``_columns`` where ``_columns_win``, else as ``_run``'s last value.
-    Every reader of one value takes it here; every stream runs ``_run``."""
-    if _columns_win(plan):
-        return ring.poly(_columns(plan), degree)
-    return last_poly(ring.poly, _run(ring, plan), degree)
+    ``_columns``, or as ``_run``'s last value where ``_columns`` turns the
+    plan down.  Every reader of one value takes it here; every stream runs
+    ``_run``."""
+    columns = _columns(plan)
+    if columns is None:
+        return last_poly(ring.poly, _run(ring, plan), degree)
+    return ring.poly(columns, degree)
 
 
 def last_poly(poly, values: Iterator, degree: int) -> BivarPoly:
@@ -354,18 +347,14 @@ def last_poly(poly, values: Iterator, degree: int) -> BivarPoly:
     return poly(tail[0], degree) if tail else ZERO
 
 
-def _whole(a: HessenbergMatrix, signed: bool) -> BivarPoly:
-    return _last(*_plan(a, signed, a.n), a.n)
-
-
 def det_hessenberg(a: HessenbergMatrix) -> BivarPoly:
     """Determinant via the signed leading-principal-minor recursion."""
-    return _whole(a, signed=True)
+    return _last(*_plan(a, True, a.n), a.n)
 
 
 def per_hessenberg(a: HessenbergMatrix) -> BivarPoly:
     """Permanent via the sign-free leading-principal-minor recursion."""
-    return _whole(a, signed=False)
+    return _last(*_plan(a, False, a.n), a.n)
 
 
 def check_budget(order: int, signed: bool, budget: EvalBudget | None = None) -> None:

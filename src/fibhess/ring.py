@@ -33,8 +33,9 @@ row that repeats the row above reuses its coefficients.  On
 ``PolyKernel`` a coefficient is the product ``entry * scalar`` and
 ``sum_of_products`` is the ring's own.  Every leading minor of the
 W/M/H/K matrices is such a value for w = p + 1.  The kernel serves that
-recursion only: ``sequences`` computes G itself in plain ints, and
-converts its own values, so the recurrence shares no arithmetic with the
+recursion only, and has no family method: ``sequences`` computes G
+itself in plain ints, converts its own values and reads a family's seeds
+itself, so the recurrence and the families share no arithmetic with the
 matrix routes.  A graded value of degree d is fixed by its
 coefficient of x^(d - w*j) y^j for each y-degree j, so it is a dense list
 of plain ints indexed by j, and a second list for the imaginary parts,
@@ -490,20 +491,6 @@ class GradedKernel:
                         im = _add_scaled(im, im_own, j, cr, vi)
                         im_own = im is not vi
         return re, im
-
-    @staticmethod
-    def seed(e: BivarPoly, var: str) -> tuple[int, int, int]:
-        """``(k, re, im)`` for a ``BivarPoly`` c * var^k, where ``var`` is
-        "x" or "y", k is 0 or 1 and c = re + im*i; the zero polynomial is the
-        constant 0.  Read from the term map; ValueError for any other
-        polynomial."""
-        var_mono = (1, 0) if var == "x" else (0, 1)
-        monos = {(xe, ye) for xe, ye, _ in e._terms}
-        if len(monos) > 1 or not monos <= {(0, 0), var_mono}:
-            raise ValueError(f"expected c or c*{var} for a Gaussian integer c, got {e}")
-        mono = monos.pop() if monos else (0, 0)
-        get = e._terms.get
-        return int(mono == var_mono), get((*mono, 0), 0), get((*mono, 1), 0)
 
     def poly(self, value, degree: int) -> BivarPoly:
         """The ``BivarPoly`` of a graded value of the given degree, its term

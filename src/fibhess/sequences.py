@@ -9,25 +9,27 @@ brute-force oracles included, to a function of (p, n) that returns
 G(p, n); cross_check runs the five fast routes and compares each with the
 recurrence exactly.
 
-A fast route is its stream, ``ROUTES[name].prefix(p, n)``: the function
-that converts its raw values to ``BivarPoly`` and the raw values of
-G(p, 1..n) from one pass, the recurrence's terms or the leading minors of
-orders 0..n-1 of one order-n matrix (whose leading k x k block is the
-order-k matrix; the route plans only the rows those minors need, so it
-never computes order n).  Every stream of a matrix route runs
-``evaluators._run``, the one loop of every stream.  Calling a matrix
-route gives G(p, n), the stream's last value, from ``evaluators._last``
-without the stream: by columns where its plan allows, as for the paper
-matrices, else as the loop's last value; either way it converts only that
-value.
-Calling the recurrence route gives G(p, n) by columns (below), with
-G(p, 0) = 0, and ``f_poly`` is the recurrence route.  Each matrix route
-runs on its own in ``ROUTES``, but after their set-ups the four are one
-computation: their plans (``evaluators._plan``) are equal.  So
-``cross_check`` and ``cross_check_prefix`` make the four plans, group the
-routes whose plans are equal, compared by value, and compute and convert
-once per group, ``cross_check`` by ``_last`` and ``cross_check_prefix``
-by the loop, every route in a group reading that group's ``BivarPoly``.
+A fast route is one class, ``_RecurrenceRoute`` or ``_MatrixRoute``,
+with its value and its stream as methods.  Its stream,
+``ROUTES[name].prefix(p, n)``, gives the function that converts its raw
+values to ``BivarPoly`` and the raw values of G(p, 1..n) from one pass,
+the recurrence's terms or the leading minors of orders 0..n-1 of one
+order-n matrix (whose leading k x k block is the order-k matrix; the
+route plans only the rows those minors need, so it never computes order
+n).  Every stream of a matrix route runs ``evaluators._run``, the one
+loop of every stream.  Calling a matrix route gives G(p, n), the
+stream's last value, from ``evaluators._last`` without the stream: by
+columns where ``evaluators._columns`` takes its plan, as it takes the
+paper matrices', else as the loop's last value; either way it converts
+only that value.  Calling the recurrence route gives G(p, n) by columns
+(below), with G(p, 0) = 0, and ``f_poly`` is the recurrence route.  Each
+matrix route runs on its own in ``ROUTES``, but after their set-ups the
+four are one computation: their plans (``evaluators._plan``) are equal.
+So ``cross_check`` and ``cross_check_prefix`` make the four plans, group
+the routes whose plans are equal, compared by value, and compute and
+convert once per group, ``cross_check`` by ``_last`` and
+``cross_check_prefix`` by the loop, every route in a group reading that
+group's ``BivarPoly``.
 ``cross_check_prefix(p, n)`` walks the recurrence's stream and one
 stream per group in lockstep and yields ``cross_check(p, k)`` for
 k = 1..n, converting only each cell's own values to ``BivarPoly``; the
@@ -56,6 +58,8 @@ products number at most m, and so never where m <= p + 1; elsewhere the
 scaled closed form, summed, serves.  ``_at_constants`` is the one place
 that rule is applied: a family with two constants and ``fib_p_number``
 both take G from it, and a family with a variable seed takes ``_closed``.
+What a seed may be, c or c times its variable, is read here too, by
+``_seed``, which a ``FamilySpec`` checks its seeds with.
 
 G(p, k) is weighted-homogeneous of degree k - 1 when y has weight p + 1,
 so its raw graded value is the list of its coefficients by y-degree j, as
@@ -89,7 +93,7 @@ from operator import add
 
 from .evaluators import _last, _plan, _run, check_budget, det_oracle, per_oracle
 from .matrices import HessenbergMatrix, build_h, build_k, build_m, build_w
-from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, GradedKernel, _wrap, check_count
+from .ring import ONE, X, Y, ZERO, BivarPoly, Frozen, _wrap, check_count
 
 
 def _check_args(p: int, n: int, n_min: int = 0) -> None:
@@ -331,6 +335,19 @@ def fib_p_number(p: int, n: int) -> int:
     return _at_constants(p, n, (1, 0), (1, 0))[0]
 
 
+def _seed(e: BivarPoly, var: str) -> tuple[int, int, int]:
+    """``(k, re, im)`` for a ``BivarPoly`` c * var^k, where ``var`` is "x"
+    or "y", k is 0 or 1 and c = re + im*i; the zero polynomial is the
+    constant 0.  ValueError for any other polynomial.  A ``FamilySpec``
+    checks its seeds with it, and ``family_value`` reads them."""
+    var_mono = (1, 0) if var == "x" else (0, 1)
+    parts = e.term_parts()
+    if len(parts) > 1 or parts and parts[0][:2] not in ((0, 0), var_mono):
+        raise ValueError(f"expected c or c*{var} for a Gaussian integer c, got {e}")
+    xe, ye, re, im = parts[0] if parts else (0, 0, 0, 0)
+    return xe | ye, re, im
+
+
 class FamilySpec(Frozen):
     """A named specialization: substitutions for x and y, a fixed p or
     None for p-parameterized rows, and an index shift so that
@@ -356,8 +373,8 @@ class FamilySpec(Frozen):
         for arg, sub in (("xsub", xsub), ("ysub", ysub)):
             if not isinstance(sub, BivarPoly):
                 raise TypeError(f"{arg} must be a BivarPoly, got {sub!r}")
-        GradedKernel.seed(xsub, "x")
-        GradedKernel.seed(ysub, "y")
+        _seed(xsub, "x")
+        _seed(ysub, "y")
         super().__init__(name, xsub, ysub, p, index_offset)
 
 
@@ -399,8 +416,8 @@ def family_value(spec: FamilySpec, n: int, p: int | None = None) -> BivarPoly:
         raise ValueError(f"family {spec.name!r} needs an explicit p")
     _check_args(eff_p, n)
     m = n + spec.index_offset
-    xe, *cx = GradedKernel.seed(spec.xsub, "x")
-    ye, *cy = GradedKernel.seed(spec.ysub, "y")
+    xe, *cx = _seed(spec.xsub, "x")
+    ye, *cy = _seed(spec.ysub, "y")
     if not xe | ye:
         # two constants put every term of G on the monomial 1
         re, im = _at_constants(eff_p, m, cx, cy)
@@ -434,34 +451,17 @@ class CrossCheckReport(Frozen):
 
 
 _Value = Callable[[int, int], BivarPoly]
-# (raw value, degree) -> BivarPoly: a stream's conversion
-_Poly = Callable[[object, int], BivarPoly]
 
 
-class _Route:
-    """A fast route, as its stream: ``prefix(p, n)`` gives the function
-    ``poly`` that converts the route's raw values and an iterator over the
-    raw values of G(p, 1..n), all from one recursion, G(p, k) being
-    ``poly(value, k - 1)``.  Calling the route gives G(p, n), the stream's
-    last value."""
-
-    __slots__ = ("prefix",)
-
-    def __init__(self, prefix: Callable[[int, int], tuple[_Poly, Iterator]]) -> None:
-        self.prefix = prefix
-
-    def __call__(self, p: int, n: int) -> BivarPoly:
-        return last_poly(*self.prefix(p, n), n - 1)
-
-
-class _RecurrenceRoute(_Route):
-    """The recurrence route: its stream is ``_recurrence``'s terms, with
-    ``_poly`` as its conversion, and calling it gives G(p, n) from
-    ``_by_columns``, the same value by columns, G(p, 0) = 0 included.
-    Neither calls graded-kernel code.  The stream serves the readers of
-    every order (``f_poly_prefix``, ``cross_check_prefix``), since holding
-    every order by columns would hold Theta(n^2 / p) coefficients at once;
-    the columns serve the readers of one value."""
+class _RecurrenceRoute:
+    """The recurrence route.  Its stream, ``prefix(p, n)``, gives ``_poly``
+    as its conversion and an iterator over ``_recurrence``'s raw values of
+    G(p, 1..n), G(p, k) being ``poly(value, k - 1)``; calling it gives
+    G(p, n) from ``_by_columns``, the same value by columns, G(p, 0) = 0
+    included.  Neither calls graded-kernel code.  The stream serves the
+    readers of every order (``f_poly_prefix``, ``cross_check_prefix``),
+    since holding every order by columns would hold Theta(n^2 / p)
+    coefficients at once; the columns serve the readers of one value."""
 
     __slots__ = ()
 
@@ -469,10 +469,9 @@ class _RecurrenceRoute(_Route):
         _check_args(p, n)
         return _by_columns(p, n)
 
-
-def _recurrence_prefix(p: int, n: int) -> tuple[_Poly, Iterator]:
-    _check_args(p, n)
-    return partial(_poly, w=p + 1), islice(_recurrence(p, n), 1, None)
+    def prefix(self, p: int, n: int) -> tuple[Callable, Iterator]:
+        _check_args(p, n)
+        return partial(_poly, w=p + 1), islice(_recurrence(p, n), 1, None)
 
 
 def _on_matrix(evaluate: _Value, signed: bool) -> _Value:
@@ -491,30 +490,33 @@ def _on_matrix(evaluate: _Value, signed: bool) -> _Value:
     return route
 
 
-class _MatrixRoute(_Route):
+class _MatrixRoute:
     """The route through det (``signed``) or per of build(p, n - 1).  Its
-    stream reads the leading minors of build(p, n), whose k x k block is
-    build(p, k): the minors of orders 0..n-1 are G(p, 1..n).  So its plan,
-    ``plan(p, n)``, is ``evaluators._plan`` of build(p, n)'s first n - 1
-    rows, and the stream runs ``_run`` over it and never computes order
-    n.  Calling the route takes the plan's last minor from ``_last``, by
-    columns where the plan allows.  Its values convert by the kernel's
-    ``poly``.  The builder checks p and n."""
+    stream, ``prefix(p, n)``, reads the leading minors of build(p, n),
+    whose k x k block is build(p, k): the minors of orders 0..n-1 are
+    G(p, 1..n).  So its plan, ``plan(p, n)``, is ``evaluators._plan`` of
+    build(p, n)'s first n - 1 rows, and the stream gives the kernel's
+    ``poly`` and ``_run`` over that plan, and never computes order n.
+    Calling the route takes the plan's last minor from ``_last``, by
+    columns where ``_columns`` takes the plan.  The builder checks p and
+    n."""
 
-    __slots__ = ("plan",)
+    __slots__ = ("build", "signed")
 
     def __init__(self, build: Callable[[int, int], HessenbergMatrix], signed: bool) -> None:
-        def plan(p: int, n: int) -> tuple[object, tuple]:
-            return _plan(build(p, n), signed, n - 1)
+        self.build, self.signed = build, signed
 
-        super().__init__(lambda p, n: _stream(*plan(p, n)))
-        self.plan = plan
+    def plan(self, p: int, n: int) -> tuple[object, tuple]:
+        return _plan(self.build(p, n), self.signed, n - 1)
+
+    def prefix(self, p: int, n: int) -> tuple[Callable, Iterator]:
+        return _stream(*self.plan(p, n))
 
     def __call__(self, p: int, n: int) -> BivarPoly:
         return _last(*self.plan(p, n), n - 1)
 
 
-def _stream(ring, plan: tuple) -> tuple[_Poly, Iterator]:
+def _stream(ring, plan: tuple) -> tuple[Callable, Iterator]:
     """A plan's stream: its kernel's ``poly`` and ``_run`` over it."""
     return ring.poly, _run(ring, plan)
 
@@ -524,7 +526,7 @@ def _stream(ring, plan: tuple) -> tuple[_Poly, Iterator]:
 # the builders and oracles in this module's globals at call time, so that a
 # name rebound here (a patched builder, a traced oracle) is used.
 ROUTES: dict[str, _Value] = {
-    "recurrence": _RecurrenceRoute(_recurrence_prefix),
+    "recurrence": _RecurrenceRoute(),
     "det-w": _MatrixRoute(lambda p, n: build_w(p, n), signed=True),
     "det-m": _MatrixRoute(lambda p, n: build_m(p, n), signed=True),
     "per-h": _MatrixRoute(lambda p, n: build_h(p, n), signed=False),
@@ -532,7 +534,7 @@ ROUTES: dict[str, _Value] = {
     "oracle-det-w": _on_matrix(lambda p, order: det_oracle(build_w(p, order)), signed=True),
     "oracle-per-h": _on_matrix(lambda p, order: per_oracle(build_h(p, order)), signed=False),
 }
-_FAST_ROUTES = tuple(name for name, route in ROUTES.items() if isinstance(route, _Route))
+_FAST_ROUTES = tuple(name for name, route in ROUTES.items() if hasattr(route, "prefix"))
 
 
 def _report(p: int, n: int, values: dict[str, BivarPoly]) -> CrossCheckReport:
@@ -543,7 +545,7 @@ def _report(p: int, n: int, values: dict[str, BivarPoly]) -> CrossCheckReport:
     return CrossCheckReport(p, n, values, first_mismatch is None, first_mismatch)
 
 
-def _groups(p: int, n: int) -> list[tuple[list[str], _Route, tuple | None]]:
+def _groups(p: int, n: int) -> list[tuple[list[str], _Value, tuple | None]]:
     """The fast routes at (p, n), grouped by the computation they share:
     ``(names, route, planned)`` for each group, in ``_FAST_ROUTES`` order
     of each group's first name.  A matrix route makes its plan now and
@@ -606,7 +608,7 @@ def cross_check_prefix(p: int, n: int) -> Iterator[CrossCheckReport]:
     return _reports(p, groups, streams)
 
 
-def _reports(p: int, groups, streams: list[tuple[_Poly, Iterator]]) -> Iterator[CrossCheckReport]:
+def _reports(p: int, groups, streams: list[tuple[Callable, Iterator]]) -> Iterator[CrossCheckReport]:
     # from G(p, 2); strict, so a stream that runs short fails the grid
     cells = islice(zip(*(values for _, values in streams), strict=True), 1, None)
     for k, raw in enumerate(cells, 1):

@@ -373,8 +373,9 @@ def test_recursion_keeps_only_the_minors_it_will_read(monkeypatch):
         made.clear(), alive.clear()
         with monkeypatch.context() as m:
             m.setattr(evaluators, "list", column, raising=False)
-            assert evaluators._columns_win(plan)
-            by_columns = ring_a.poly(evaluators._columns(plan), a.n)
+            columns = evaluators._columns(plan)
+            assert columns is not None
+            by_columns = ring_a.poly(columns, a.n)
         assert len(made) == a.n // plan[0][1] and max(alive) <= top + 1, (top, max(alive))
         assert by_columns == loop_value(ring_a, plan, a.n)
 
@@ -398,9 +399,10 @@ def columns_exact(plan):
 
 def test_columns_give_the_loops_value_on_every_shape_they_fit():
     # every row of tests/matrix_shapes.py at p 1-4 and orders to 30: where
-    # the columns are exact they give the loop's last value, and the rule
-    # takes them only there.  A PolyKernel row never fits, and its set-up
-    # multiplies BivarPoly windows, so it stops at order 7
+    # the columns are exact and pay they give the loop's last value, and
+    # they turn down every plan they do not fit.  A PolyKernel row never
+    # fits, and its set-up multiplies BivarPoly windows, so it stops at
+    # order 7
     fits = set()
     for name, shape in SHAPES.items():
         for p in range(1, 5):
@@ -410,11 +412,14 @@ def test_columns_give_the_loops_value_on_every_shape_they_fit():
                 a = shape.make(p, n)
                 for signed in (True, False):
                     kernel, plan = evaluators._plan(a, signed, n)
+                    columns = evaluators._columns(plan)
                     if not columns_exact(plan):
-                        assert not evaluators._columns_win(plan), (name, p, n)
+                        assert columns is None, (name, p, n)
+                        continue
+                    if columns is None:  # exact, but would not pay
                         continue
                     fits.add(name)
-                    got = kernel.poly(evaluators._columns(plan), n)
+                    got = kernel.poly(columns, n)
                     assert got == loop_value(kernel, plan, n), (name, p, n, signed)
     assert {"build_w", "zero_superdiagonal_in_band", "alternating_band"} <= fits
 
@@ -428,12 +433,13 @@ def test_columns_give_the_loops_value_on_the_builders(builder):
         a = builder(p, n)
         for order in (n - 1, n):
             kernel, plan = evaluators._plan(a, signed, order)
-            assert evaluators._columns_win(plan), (p, n, order)
-            assert kernel.poly(evaluators._columns(plan), order) == loop_value(kernel, plan, order)
+            columns = evaluators._columns(plan)
+            assert columns is not None, (p, n, order)
+            assert kernel.poly(columns, order) == loop_value(kernel, plan, order)
     for p in (1, 2, 5, 300):
         for n in sorted({1, min(2, p), p // 2 + 1, p}):
             kernel, plan = evaluators._plan(builder(p, n), signed, n)
-            assert evaluators._columns_win(plan) and plan[0][1] == 1
+            assert plan[0][1] == 1
             assert evaluators._columns(plan) == ([1], []), (p, n)
             assert loop_value(kernel, plan, n) == X**n
 
@@ -454,7 +460,7 @@ def test_the_rule_takes_the_loop_where_the_columns_do_not_fit_or_pay():
     for label, m in cases.items():
         for signed in (True, False):
             _, plan = evaluators._plan(m, signed, m.n)
-            assert not evaluators._columns_win(plan), (label, signed)
+            assert evaluators._columns(plan) is None, (label, signed)
     assert columns_exact(evaluators._plan(cases["alternating band (1, 400)"], True, 400)[1])
 
 

@@ -298,6 +298,15 @@ def test_cross_check_degenerate_band():
 FAST_ROUTES = ("recurrence", "det-w", "det-m", "per-h", "per-k")
 
 
+def test_the_fast_routes_are_the_routes_with_a_stream():
+    # the fast routes are read from ROUTES as the routes with a prefix, so
+    # a route class that lost its stream, or an oracle route that gained
+    # one, would drop or add a route from every cross-check
+    assert sequences._FAST_ROUTES == FAST_ROUTES
+    for name in ("oracle-det-w", "oracle-per-h"):
+        assert not hasattr(sequences.ROUTES[name], "prefix"), name
+
+
 @pytest.mark.parametrize("name", FAST_ROUTES)
 def test_route_prefix_matches_each_order(name):
     # one pass gives G(p, 1..n); at n = 1 a matrix stream reads only the
@@ -615,7 +624,7 @@ def test_a_stream_that_runs_short_fails_the_grid(monkeypatch):
         poly, values = prefix(p, n)
         return poly, islice(values, n - 1)
 
-    monkeypatch.setitem(sequences.ROUTES, "det-w", sequences._Route(short))
+    monkeypatch.setitem(sequences.ROUTES, "det-w", SimpleNamespace(prefix=short))
     with pytest.raises(ValueError, match="shorter"):
         list(sequences.cross_check_prefix(2, 10))
 
@@ -761,9 +770,9 @@ def test_family_matches_closed_form(name):
 def test_variable_seed_family_runs_no_step(monkeypatch):
     # chebyshev-U reads G from its closed form and scales each coefficient
     # once by its constants' powers: no recurrence step adds a list.  And
-    # nothing in sequences runs graded-kernel arithmetic or conversion: the
-    # recurrence's value and stream, f_poly_prefix, every family and
-    # fib_p_number make and convert their own values
+    # nothing in sequences runs graded-kernel code: the recurrence's value
+    # and stream, f_poly_prefix, every family, a user spec and fib_p_number
+    # make, convert and read their own values and seeds
     calls = []
     add_scaled = ring._add_scaled
 
@@ -775,9 +784,11 @@ def test_variable_seed_family_runs_no_step(monkeypatch):
         raise AssertionError("graded-kernel code ran in sequences")
 
     monkeypatch.setattr(ring, "_add_scaled", recorded)
-    for name in ("sum_of_products", "coefficient", "poly"):
-        monkeypatch.setattr(GradedKernel, name, refused)
+    for name in ("sum_of_products", "coefficient", "poly", "seed", "scalar", "times"):
+        monkeypatch.setattr(GradedKernel, name, refused, raising=False)
     assert family_value(get_family("chebyshev-U"), 60) != ZERO
+    spec = FamilySpec("user", X.scale(GaussianInt(1, 1)), Y.scale(GaussianInt(2, -1)), None)
+    assert family_value(spec, 60, p=2) != ZERO
     route = sequences.ROUTES["recurrence"]
     # the power takes the two-constant families at (1, 60), the closed
     # form at (3, 61)
@@ -823,7 +834,7 @@ def test_closed_matches_math_comb_at_large_p(p, n):
 VARIABLE_SEED = sorted(
     name
     for name, (xsub, ysub, *_) in DEFINITIONS.items()
-    if GradedKernel.seed(xsub, "x")[0] | GradedKernel.seed(ysub, "y")[0]
+    if sequences._seed(xsub, "x")[0] | sequences._seed(ysub, "y")[0]
 )
 
 
@@ -856,8 +867,8 @@ def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
     fam = get_family(name) if name in DEFINITIONS else FamilySpec(name, xsub, ysub, None)
     p = fixed or 2
     m = 3001
-    xe, *cx = GradedKernel.seed(xsub, "x")
-    ye, *cy = GradedKernel.seed(ysub, "y")
+    xe, *cx = sequences._seed(xsub, "x")
+    ye, *cy = sequences._seed(ysub, "y")
     d, w = m - 1, p + 1
     real, imag = fold_by_powers(recurrence_value(p, m), d, w, cx, cy)
     # explicit keys, so that a fault in the families' conversion cannot
@@ -871,7 +882,7 @@ def test_variable_seed_family_matches_the_recurrence_at_large_n(name):
 # included, as Gaussian (re, im) pairs
 CONSTANTS = sorted(
     {
-        (tuple(GradedKernel.seed(xsub, "x")[1:]), tuple(GradedKernel.seed(ysub, "y")[1:]))
+        (tuple(sequences._seed(xsub, "x")[1:]), tuple(sequences._seed(ysub, "y")[1:]))
         for xsub, ysub, *_ in [*SEEDS.values(), *DEFINITIONS.values()]
     }
 )
